@@ -58,7 +58,6 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--elites", type=int, default=2)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--stagnation", type=int, default=50)
-    p.add_argument("--workers", type=int, default=1)
 
 
 def _ga_config(args: argparse.Namespace) -> GaConfig:
@@ -72,7 +71,6 @@ def _ga_config(args: argparse.Namespace) -> GaConfig:
         elite_count=args.elites,
         restarts=args.restarts,
         seed=args.seed,
-        workers=args.workers,
     )
 
 

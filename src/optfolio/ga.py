@@ -1,7 +1,8 @@
 """Genetic algorithm over project-period assignments.
 
-Individuals are integer gene vectors (one period per project), which keeps
-crossover and mutation closed over valid schedules; the bit-matrix
+Individuals are integer gene vectors (one period per project, as plain
+tuples), which keeps crossover and mutation closed over valid schedules;
+a Schedule is built only for the returned best. The bit-matrix
 chromosome remains the interchange format (model.encode/decode, plus
 repair here for raw bit matrices). Constraint handling is feasibility-
 first comparison rather than penalty weights: any feasible individual
@@ -11,11 +12,10 @@ dominates any infeasible one.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .model import Chromosome, Instance, Schedule, validate_instance
-from .valuation import EvaluationBreakdown, evaluate, score
+from .valuation import EvaluationBreakdown, build_tables, evaluate, score
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class GaConfig:
     elite_count: int = 2
     restarts: int = 1
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -46,8 +45,6 @@ class GaConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -88,38 +85,39 @@ def repair(c: Chromosome, rng: random.Random) -> Schedule:
 
 
 def crossover(
-    a: Schedule, b: Schedule, rate: float, rng: random.Random
-) -> tuple[Schedule, Schedule]:
-    """Single-point crossover on the period vectors, applied with probability rate."""
-    n = len(a.period_of)
-    if len(b.period_of) != n:
+    a: tuple[int, ...], b: tuple[int, ...], rate: float, rng: random.Random
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Single-point crossover on period tuples, applied with probability rate."""
+    n = len(a)
+    if len(b) != n:
         raise ValueError("parents must have equal length")
     if n < 2 or rng.random() >= rate:
         return a, b
     cut = rng.randrange(1, n)
-    c1 = a.period_of[:cut] + b.period_of[cut:]
-    c2 = b.period_of[:cut] + a.period_of[cut:]
-    return Schedule(period_of=c1), Schedule(period_of=c2)
+    return a[:cut] + b[cut:], b[:cut] + a[cut:]
 
 
-def mutate(s: Schedule, rate: float, n_periods: int, rng: random.Random) -> Schedule:
+def mutate(
+    genes: tuple[int, ...], rate: float, n_periods: int, rng: random.Random
+) -> tuple[int, ...]:
     """Per-gene mutation: reassign to a uniformly random *different* period."""
     if n_periods < 2:
-        return s
-    genes = list(s.period_of)
-    for i in range(len(genes)):
-        if rng.random() < rate:
+        return genes
+    out = list(genes)
+    draw = rng.random
+    for i, g in enumerate(genes):
+        if draw() < rate:
             new = rng.randrange(1, n_periods)  # shift-skip the current value
-            genes[i] = new if new < genes[i] else new + 1
-    return Schedule(period_of=tuple(genes))
+            out[i] = new if new < g else new + 1
+    return tuple(out)
 
 
 def tournament_select(
-    population: list[Schedule],
+    population: list,
     keys: list[tuple],
     k: int,
     rng: random.Random,
-) -> Schedule:
+):
     """Draw k individuals with replacement, return the feasibility-first best."""
     if not population:
         raise ValueError("population must be non-empty")
@@ -131,7 +129,7 @@ def tournament_select(
     return population[best_i]
 
 
-def greedy_seed(inst: Instance) -> Schedule:
+def greedy_seed(inst: Instance) -> tuple[int, ...]:
     """Cheapest-first fill into earliest periods under budget and q_max.
 
     Used to seed one individual per restart; may be infeasible (the GA
@@ -149,57 +147,29 @@ def greedy_seed(inst: Instance) -> Schedule:
                 spent[k] += c
                 count[k] += 1
                 break
-    return Schedule(period_of=tuple(periods))
+    return tuple(periods)
 
 
-def _random_schedule(n_projects: int, n_periods: int, rng: random.Random) -> Schedule:
-    return Schedule(period_of=tuple(rng.randrange(1, n_periods + 1) for _ in range(n_projects)))
-
-
-class _ScoreCache:
-    """Memoized (violation, value) per period vector; evaluation is pure."""
-
-    def __init__(self, inst: Instance, workers: int):
-        self.inst = inst
-        self.workers = workers
-        self._cache: dict[tuple[int, ...], tuple[float, float]] = {}
-
-    def scores(self, population: list[Schedule]) -> list[tuple[float, float]]:
-        missing = [s for s in population if s.period_of not in self._cache]
-        # dedupe, preserving first-seen order so results reduce in index order
-        seen = set()
-        todo = []
-        for s in missing:
-            if s.period_of not in seen:
-                seen.add(s.period_of)
-                todo.append(s)
-        if todo:
-            if self.workers > 1:
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                    results = list(pool.map(lambda s: score(s, self.inst), todo))
-            else:
-                results = [score(s, self.inst) for s in todo]
-            for s, r in zip(todo, results):
-                self._cache[s.period_of] = r
-        return [self._cache[s.period_of] for s in population]
+def _random_periods(n_projects: int, n_periods: int, rng: random.Random) -> tuple[int, ...]:
+    return tuple(rng.randrange(1, n_periods + 1) for _ in range(n_projects))
 
 
 def run_ga(inst: Instance, cfg: GaConfig = GaConfig()) -> SolveResult:
     """Run the GA, returning the best individual ever seen across restarts.
 
     Deterministic: identical (instance, config incl. seed) gives an
-    identical result and trace, regardless of the workers setting
-    (evaluation is pure and RNG-free; all randomness is drawn from one
-    sequential stream per restart).
+    identical result and trace (evaluation is pure and RNG-free; all
+    randomness is drawn from one sequential stream per restart).
     """
     violations = validate_instance(inst)
     if violations:
         raise ValueError("invalid instance: " + "; ".join(violations))
     n_p, N = inst.n_projects, inst.n_periods
     mut_rate = cfg.mutation_rate if cfg.mutation_rate is not None else (1.0 / n_p if n_p else 0.0)
-    cache = _ScoreCache(inst, cfg.workers)
+    tables = build_tables(inst)
+    # memoized (violation, value) per period tuple; evaluation is pure
+    scores: dict[tuple[int, ...], tuple[float, float]] = {}
 
-    best_sched: Schedule | None = None
     best_key: tuple | None = None
     trace: list[TraceEntry] = []
     terminated_by = "max_generations"
@@ -208,23 +178,26 @@ def run_ga(inst: Instance, cfg: GaConfig = GaConfig()) -> SolveResult:
     for restart in range(cfg.restarts):
         rng = random.Random(f"{cfg.seed}:{restart}")
         population = [greedy_seed(inst)] + [
-            _random_schedule(n_p, N, rng) for _ in range(cfg.population_size - 1)
+            _random_periods(n_p, N, rng) for _ in range(cfg.population_size - 1)
         ]
         restart_best_key: tuple | None = None
         stagnant = 0
         terminated_by = "max_generations"
 
         for _gen in range(cfg.max_generations):
-            sc = cache.scores(population)
-            keys = [(v, -val, s.period_of) for s, (v, val) in zip(population, sc)]
+            for p in population:
+                if p not in scores:
+                    scores[p] = score(p, tables)
+            sc = [scores[p] for p in population]
+            keys = [(v, -val, p) for p, (v, val) in zip(population, sc)]
 
             improved = False
-            for s, key in zip(population, keys):
+            for key in keys:
                 if restart_best_key is None or key < restart_best_key:
                     restart_best_key = key
                     improved = True
                 if best_key is None or key < best_key:
-                    best_key, best_sched = key, s
+                    best_key = key
             stagnant = 0 if improved else stagnant + 1
 
             feas_vals = [val for (v, val) in sc if v == 0.0]
@@ -255,7 +228,8 @@ def run_ga(inst: Instance, cfg: GaConfig = GaConfig()) -> SolveResult:
                     next_pop.append(mutate(c2, mut_rate, N, rng))
             population = next_pop
 
-    assert best_sched is not None
+    assert best_key is not None
+    best_sched = Schedule(period_of=best_key[2])
     return SolveResult(
         best_schedule=best_sched,
         best_breakdown=evaluate(best_sched, inst),

@@ -10,9 +10,7 @@ internal representation is the compact period-per-project vector.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MONEY_TOL = 1e-9
 
@@ -105,24 +103,6 @@ class Instance:
     q_max: tuple[int, ...]
     rate: float = 0.0
     total_dependency_mode: str = "hard"
-
-    def signature(self) -> str:
-        """Stable digest identifying this instance's data."""
-        blob = json.dumps(
-            [
-                self.n_projects,
-                self.n_periods,
-                [[p.id, p.label, list(p.cost_pv), list(p.return_pv)] for p in self.projects],
-                [[e.predecessor, e.dependent, e.level, e.option_value] for e in self.edges],
-                list(self.budgets),
-                list(self.q_min),
-                list(self.q_max),
-                self.rate,
-                self.total_dependency_mode,
-            ],
-            separators=(",", ":"),
-        )
-        return hashlib.sha1(blob.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -242,6 +222,9 @@ def validate_instance(inst: Instance) -> list[str]:
     ids = [p.id for p in inst.projects]
     if sorted(ids) != list(range(1, n_p + 1)):
         v.append(f"project ids must be exactly 1..{n_p}, got {sorted(ids)}")
+    elif ids != sorted(ids):
+        # schedules and solvers index project id i at position i - 1
+        v.append(f"projects must be listed in id order 1..{n_p}, got {ids}")
 
     for p in inst.projects:
         if len(p.cost_pv) != N:

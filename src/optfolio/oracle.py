@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Instance, Schedule, validate_instance
-from .valuation import EvaluationBreakdown, evaluate, score
+from .valuation import EvaluationBreakdown, build_tables, evaluate, score
 
 DEFAULT_CAP = 10**7
 
@@ -54,20 +54,17 @@ def enumerate_optimal(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     """
     _check_instance(inst, cap)
     n_p, N = inst.n_projects, inst.n_periods
-    hard = inst.total_dependency_mode == "hard"
-    cost = [p.cost_pv for p in inst.projects]
+    tables = build_tables(inst)
+    cost = tables.cost
     budgets, q_min, q_max = inst.budgets, inst.q_min, inst.q_max
 
-    # edges indexed by the later-assigned endpoint so each pair is checked
-    # exactly once, as soon as both endpoints have periods
+    # hard precedence edges indexed by the later-assigned endpoint so each
+    # pair is checked exactly once, as soon as both endpoints have periods
     edges_at: list[list[tuple[int, bool]]] = [[] for _ in range(n_p)]
-    if hard:
-        for e in inst.edges:
-            if e.level == 1.0:
-                pi, di = e.predecessor - 1, e.dependent - 1
-                later, other = max(pi, di), min(pi, di)
-                # dependent must not precede predecessor
-                edges_at[later].append((other, later == di))
+    for pi, di in tables.hard_edges:
+        later, other = max(pi, di), min(pi, di)
+        # dependent must not precede predecessor
+        edges_at[later].append((other, later == di))
 
     best_per: tuple[int, ...] | None = None
     best_value = float("-inf")
@@ -80,7 +77,7 @@ def enumerate_optimal(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     def dfs(i: int) -> None:
         nonlocal best_per, best_value, feasible_count
         if i == n_p:
-            viol, value = score(Schedule(period_of=tuple(per)), inst)
+            viol, value = score(tuple(per), tables)
             if viol == 0.0:
                 feasible_count += 1
                 if value > best_value:

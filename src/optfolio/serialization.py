@@ -83,6 +83,9 @@ def instance_from_dict(doc: dict) -> Instance:
             )
         )
 
+    # schedules index project id i at position i - 1
+    projects.sort(key=lambda p: p.id)
+
     edges = tuple(
         DependencyEdge(
             predecessor=int(_require(ed, "predecessor", "edge")),

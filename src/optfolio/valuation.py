@@ -5,12 +5,16 @@ partial-dependency benefit factor, minus period-specific cost PV) plus the
 option values accrued on outgoing edges whose dependents are funded
 strictly later. Feasibility covers per-period budgets, cardinality bounds
 and, in hard mode, total-dependency precedence.
+
+An instance is compiled once into `Tables` (`build_tables`); `score` is
+the hot-path kernel the solvers call on plain period tuples, and
+`evaluate` reports the same accounting in full. Both run `_account`, so
+they agree exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .model import Instance, Schedule
 
@@ -36,12 +40,16 @@ class EvaluationBreakdown:
     precedence_violations: tuple[tuple[int, int], ...]  # (predecessor, dependent)
     feasible: bool
     violation_score: float
-    instance_signature: str
+    instance: Instance = field(repr=False)
 
 
 @dataclass(frozen=True)
-class _Tables:
-    """Index-based views of an instance for tight evaluation loops."""
+class Tables:
+    """Index-based views of an instance for tight evaluation loops.
+
+    Project i (0-based) is the project with id i + 1; validate_instance
+    guarantees that projects are listed in that order.
+    """
 
     n_projects: int
     n_periods: int
@@ -51,31 +59,37 @@ class _Tables:
     factor_in: tuple[tuple[tuple[int, float], ...], ...]
     # option edges per predecessor: (dependent index, option value)
     options_out: tuple[tuple[tuple[int, float], ...], ...]
-    # hard-mode precedence edges as (pred index, dep index, pred id, dep id)
-    hard_edges: tuple[tuple[int, int, int, int], ...]
+    # hard-mode precedence edges as (pred index, dep index)
+    hard_edges: tuple[tuple[int, int], ...]
     budgets: tuple[float, ...]
     q_min: tuple[int, ...]
     q_max: tuple[int, ...]
     budget_total: float
-    signature: str
 
 
-@lru_cache(maxsize=128)
-def _tables(inst: Instance) -> _Tables:
-    idx = {p.id: i for i, p in enumerate(inst.projects)}
+def build_tables(inst: Instance) -> Tables:
+    """Compile an instance for scoring; solvers build this once per solve."""
+    n = inst.n_projects
+    if any(p.id != i + 1 for i, p in enumerate(inst.projects)):
+        raise ValueError(f"projects must be listed in id order 1..{n}")
     soft = inst.total_dependency_mode == "soft"
-    factor_in: list[list[tuple[int, float]]] = [[] for _ in range(inst.n_projects)]
-    options_out: list[list[tuple[int, float]]] = [[] for _ in range(inst.n_projects)]
-    hard_edges: list[tuple[int, int, int, int]] = []
+    factor_in: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    options_out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    hard_edges: list[tuple[int, int]] = []
     for e in inst.edges:
-        pi, di = idx[e.predecessor], idx[e.dependent]
+        pi, di = e.predecessor - 1, e.dependent - 1
+        if not (0 <= pi < n and 0 <= di < n):
+            raise ValueError(f"edge ({e.predecessor}, {e.dependent}) references an unknown project")
         if e.level < 1.0 or soft:
             factor_in[di].append((pi, 1.0 - e.level))
         if e.level == 1.0 and not soft:
-            hard_edges.append((pi, di, e.predecessor, e.dependent))
+            hard_edges.append((pi, di))
         options_out[pi].append((di, e.option_value))
-    return _Tables(
-        n_projects=inst.n_projects,
+    budget_total = 0.0
+    for b in inst.budgets:
+        budget_total += b
+    return Tables(
+        n_projects=n,
         n_periods=inst.n_periods,
         cost=tuple(p.cost_pv for p in inst.projects),
         ret=tuple(p.return_pv for p in inst.projects),
@@ -85,115 +99,68 @@ def _tables(inst: Instance) -> _Tables:
         budgets=inst.budgets,
         q_min=inst.q_min,
         q_max=inst.q_max,
-        budget_total=sum(inst.budgets),
-        signature=inst.signature(),
+        budget_total=budget_total,
     )
 
 
-def score(s: Schedule, inst: Instance) -> tuple[float, float]:
-    """Fast (violation_score, total_value) without breakdown construction.
+def _account(per: tuple[int, ...], t: Tables, rows: list | None = None):
+    """One pass over projects and periods, shared by score and evaluate.
 
-    Must agree exactly with evaluate(); the GA and oracle inner loops use
-    this path.
+    Returns (cost per period, count per period, precedence violations as
+    index pairs, total budget excess, total cardinality violation, total
+    value). When `rows` is given, one (factor, effective return, dcf,
+    option sum) tuple per project is appended to it.
+
+    Floats are summed with explicit loops in a fixed order (DCF terms left
+    to right, then each project's option sum, then the two totals added),
+    so every caller sees bit-identical values.
     """
-    t = _tables(inst)
-    per = s.period_of
-    total = 0.0
-    for i in range(t.n_projects):
-        k = per[i] - 1
-        f = 1.0
-        for pi, keep in t.factor_in[i]:
-            if per[i] < per[pi]:
-                f *= keep
-        total += t.ret[i][k] * f - t.cost[i][k]
-        for di, val in t.options_out[i]:
-            if per[i] < per[di]:
-                total += val
-    viol = _violation_score(per, t)
-    return viol, total
-
-
-def _violation_score(per: tuple[int, ...], t: _Tables) -> float:
     cost_k = [0.0] * t.n_periods
     cnt_k = [0] * t.n_periods
-    for i in range(t.n_projects):
-        k = per[i] - 1
-        cost_k[k] += t.cost[i][k]
-        cnt_k[k] += 1
-    budget = sum(max(0.0, cost_k[k] - t.budgets[k]) for k in range(t.n_periods))
-    card = sum(
-        max(0, t.q_min[k] - cnt_k[k]) + max(0, cnt_k[k] - t.q_max[k])
-        for k in range(t.n_periods)
-    )
-    prec = sum(1 for pi, di, _, _ in t.hard_edges if per[di] < per[pi])
+    dcf_total = 0.0
+    opt_total = 0.0
+    for k, cost_i, ret_i, fin, oout in zip(per, t.cost, t.ret, t.factor_in, t.options_out):
+        f = 1.0
+        for pi, keep in fin:
+            if k < per[pi]:
+                f *= keep
+        c = cost_i[k - 1]
+        eff = ret_i[k - 1] * f
+        dcf = eff - c
+        # stays the int 0 when nothing accrues, so the breakdown prints 0
+        o = 0
+        for di, val in oout:
+            if k < per[di]:
+                o += val
+        dcf_total += dcf
+        opt_total += o
+        cost_k[k - 1] += c
+        cnt_k[k - 1] += 1
+        if rows is not None:
+            rows.append((f, eff, dcf, o))
+    prec = [(pi, di) for pi, di in t.hard_edges if per[di] < per[pi]]
+    budget = 0.0
+    card = 0
+    for k in range(t.n_periods):
+        budget += max(0.0, cost_k[k] - t.budgets[k])
+        card += max(0, t.q_min[k] - cnt_k[k]) + max(0, cnt_k[k] - t.q_max[k])
+    return cost_k, cnt_k, prec, budget, card, dcf_total + opt_total
+
+
+def _violation(budget: float, card: int, n_prec: int, t: Tables) -> float:
     # Scale-free mix: feasibility only needs zero-vs-nonzero plus a
     # consistent order among infeasibles.
-    return budget / t.budget_total + card / max(1, t.n_projects) + prec
+    return budget / t.budget_total + card / max(1, t.n_projects) + n_prec
 
 
-def partial_benefit_factor(project_id: int, s: Schedule, inst: Instance) -> float:
-    """Benefit multiplier for a project given unmet incoming dependencies.
+def score(periods: tuple[int, ...], t: Tables) -> tuple[float, float]:
+    """Fast (violation_score, total_value) of a period tuple.
 
-    Each incoming partial edge whose predecessor is funded strictly later
-    contributes a factor (1 - level); same-period funding keeps full
-    benefit. In soft mode, total edges join the product (factor 0 when
-    the dependent jumps ahead of its predecessor).
+    Agrees exactly with evaluate(); the GA and oracle inner loops use this
+    path with tables built once per solve.
     """
-    t = _tables(inst)
-    i = project_id - 1
-    f = 1.0
-    for pi, keep in t.factor_in[i]:
-        if s.period_of[i] < s.period_of[pi]:
-            f *= keep
-    return f
-
-
-def dcf_value(project_id: int, s: Schedule, inst: Instance) -> float:
-    """Return PV (after benefit reduction) minus cost PV for the funded period."""
-    t = _tables(inst)
-    i = project_id - 1
-    k = s.period_of[i] - 1
-    return t.ret[i][k] * partial_benefit_factor(project_id, s, inst) - t.cost[i][k]
-
-
-def option_accrual(project_id: int, s: Schedule, inst: Instance) -> float:
-    """Option value the project earns from dependents funded strictly later."""
-    t = _tables(inst)
-    i = project_id - 1
-    return sum(val for di, val in t.options_out[i] if s.period_of[i] < s.period_of[di])
-
-
-def check_feasibility(s: Schedule, inst: Instance) -> dict:
-    """Violation quantities for budgets, cardinality and hard precedence."""
-    t = _tables(inst)
-    per = s.period_of
-    cost_k = [0.0] * t.n_periods
-    cnt_k = [0] * t.n_periods
-    for i in range(t.n_projects):
-        k = per[i] - 1
-        cost_k[k] += t.cost[i][k]
-        cnt_k[k] += 1
-    budget_excess = tuple(max(0.0, cost_k[k] - t.budgets[k]) for k in range(t.n_periods))
-    shortfall = tuple(max(0, t.q_min[k] - cnt_k[k]) for k in range(t.n_periods))
-    excess = tuple(max(0, cnt_k[k] - t.q_max[k]) for k in range(t.n_periods))
-    prec = tuple(
-        (pid, did) for pi, di, pid, did in t.hard_edges if per[di] < per[pi]
-    )
-    feasible = (
-        all(b == 0 for b in budget_excess)
-        and all(x == 0 for x in shortfall)
-        and all(x == 0 for x in excess)
-        and not prec
-    )
-    return {
-        "total_cost_per_period": tuple(cost_k),
-        "count_per_period": tuple(cnt_k),
-        "budget_excess": budget_excess,
-        "cardinality_shortfall": shortfall,
-        "cardinality_excess": excess,
-        "precedence_violations": prec,
-        "feasible": feasible,
-    }
+    _cost_k, _cnt_k, prec, budget, card, total = _account(periods, t)
+    return _violation(budget, card, len(prec), t), total
 
 
 def evaluate(s: Schedule, inst: Instance) -> EvaluationBreakdown:
@@ -204,38 +171,62 @@ def evaluate(s: Schedule, inst: Instance) -> EvaluationBreakdown:
         )
     if any(k > inst.n_periods for k in s.period_of):
         raise ValueError("schedule references a period beyond N")
-    t = _tables(inst)
-    factors = []
-    dcfs = []
-    options = []
-    eff_returns = []
-    for i in range(t.n_projects):
-        pid = i + 1
-        k = s.period_of[i] - 1
-        f = partial_benefit_factor(pid, s, inst)
-        eff = t.ret[i][k] * f
-        factors.append(f)
-        eff_returns.append(eff)
-        dcfs.append(eff - t.cost[i][k])
-        options.append(option_accrual(pid, s, inst))
-    feas = check_feasibility(s, inst)
-    total = sum(dcfs) + sum(options)
+    t = build_tables(inst)
+    rows: list[tuple[float, float, float, float]] = []
+    cost_k, cnt_k, prec, budget, card, total = _account(s.period_of, t, rows)
+    factors, effs, dcfs, options = zip(*rows) if rows else ((), (), (), ())
+    N = t.n_periods
     return EvaluationBreakdown(
-        dcf_values=tuple(dcfs),
-        partial_factors=tuple(factors),
-        option_accrued=tuple(options),
-        effective_returns=tuple(eff_returns),
+        dcf_values=dcfs,
+        partial_factors=factors,
+        option_accrued=options,
+        effective_returns=effs,
         total_value=total,
-        total_cost_per_period=feas["total_cost_per_period"],
-        count_per_period=feas["count_per_period"],
-        budget_excess=feas["budget_excess"],
-        cardinality_shortfall=feas["cardinality_shortfall"],
-        cardinality_excess=feas["cardinality_excess"],
-        precedence_violations=feas["precedence_violations"],
-        feasible=feas["feasible"],
-        violation_score=_violation_score(s.period_of, t),
-        instance_signature=t.signature,
+        total_cost_per_period=tuple(cost_k),
+        count_per_period=tuple(cnt_k),
+        budget_excess=tuple(max(0.0, cost_k[k] - t.budgets[k]) for k in range(N)),
+        cardinality_shortfall=tuple(max(0, t.q_min[k] - cnt_k[k]) for k in range(N)),
+        cardinality_excess=tuple(max(0, cnt_k[k] - t.q_max[k]) for k in range(N)),
+        precedence_violations=tuple((pi + 1, di + 1) for pi, di in prec),
+        feasible=budget == 0.0 and card == 0 and not prec,
+        violation_score=_violation(budget, card, len(prec), t),
+        instance=inst,
     )
+
+
+def check_feasibility(s: Schedule, inst: Instance) -> dict:
+    """Violation quantities for budgets, cardinality and hard precedence."""
+    b = evaluate(s, inst)
+    return {
+        "total_cost_per_period": b.total_cost_per_period,
+        "count_per_period": b.count_per_period,
+        "budget_excess": b.budget_excess,
+        "cardinality_shortfall": b.cardinality_shortfall,
+        "cardinality_excess": b.cardinality_excess,
+        "precedence_violations": b.precedence_violations,
+        "feasible": b.feasible,
+    }
+
+
+def partial_benefit_factor(project_id: int, s: Schedule, inst: Instance) -> float:
+    """Benefit multiplier for a project given unmet incoming dependencies.
+
+    Each incoming partial edge whose predecessor is funded strictly later
+    contributes a factor (1 - level); same-period funding keeps full
+    benefit. In soft mode, total edges join the product (factor 0 when
+    the dependent jumps ahead of its predecessor).
+    """
+    return evaluate(s, inst).partial_factors[project_id - 1]
+
+
+def dcf_value(project_id: int, s: Schedule, inst: Instance) -> float:
+    """Return PV (after benefit reduction) minus cost PV for the funded period."""
+    return evaluate(s, inst).dcf_values[project_id - 1]
+
+
+def option_accrual(project_id: int, s: Schedule, inst: Instance) -> float:
+    """Option value the project earns from dependents funded strictly later."""
+    return evaluate(s, inst).option_accrued[project_id - 1]
 
 
 def candidate_key(s: Schedule, b: EvaluationBreakdown) -> tuple:
@@ -252,7 +243,7 @@ def compare_candidates(
     Lower total violation wins; among equals higher value wins; among
     equals the lexicographically smaller period vector wins.
     """
-    if a[1].instance_signature != b[1].instance_signature:
+    if a[1].instance != b[1].instance:
         raise ValueError("cannot compare breakdowns from different instances")
     ka, kb = candidate_key(*a), candidate_key(*b)
     return -1 if ka < kb else (1 if ka > kb else 0)

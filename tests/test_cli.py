@@ -147,6 +147,34 @@ class TestExact:
         assert doc["breakdown"]["total_cost_per_period"] == [85, 105, 175]
         assert doc["chromosome"] == ["100", "010", "100", "010", "010", "001", "001"]
 
+    def test_out_of_order_project_list(self, tmp_path):
+        # projects listed as ids [2, 1]; the hard edge 1 -> 2 must bind on
+        # ids, whatever the listing order
+        doc = {
+            "n_p": 2,
+            "N": 2,
+            "budgets": [100, 100],
+            "q_min": [0, 0],
+            "q_max": [2, 2],
+            "projects": [
+                {"id": 2, "cost_pv": [10, 10], "return_pv": [30, 30]},
+                {"id": 1, "cost_pv": [10, 10], "return_pv": [20, 20]},
+            ],
+            "edges": [{"predecessor": 1, "dependent": 2, "level": 1.0, "option_value": 7}],
+        }
+        path = tmp_path / "reordered.json"
+        path.write_text(json.dumps(doc))
+        assert [p.id for p in load_instance(str(path)).projects] == [1, 2]
+        code, out = run_cli("exact", str(path))
+        assert code == 0
+        res = json.loads(out)
+        assert res["value"] == 37
+        assert res["feasible_count"] == 3
+        assert res["period_of"] == [1, 2]
+        code, out = run_cli("evaluate", str(path), "2,1")
+        assert code == 0
+        assert json.loads(out)["feasible"] is False
+
     def test_cap_exceeded_exits_three(self):
         code, _ = run_cli("exact", FIXTURE, "--cap", "100")
         assert code == 3

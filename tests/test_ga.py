@@ -51,47 +51,47 @@ class TestCrossover:
             def randrange(self, *a):
                 return 1
 
-        a, b = of.Schedule(period_of=(1, 2, 3)), of.Schedule(period_of=(3, 2, 1))
+        a, b = (1, 2, 3), (3, 2, 1)
         c1, c2 = crossover(a, b, 0.8, ForcedCut())
-        assert c1.period_of == (1, 2, 1)
-        assert c2.period_of == (3, 2, 3)
+        assert c1 == (1, 2, 1)
+        assert c2 == (3, 2, 3)
 
     def test_rate_zero_is_identity(self):
         rng = random.Random(1)
-        a, b = of.Schedule(period_of=(1, 2, 3)), of.Schedule(period_of=(3, 2, 1))
+        a, b = (1, 2, 3), (3, 2, 1)
         assert crossover(a, b, 0.0, rng) == (a, b)
 
     def test_single_gene_degrades_to_identity(self):
         rng = random.Random(1)
-        a, b = of.Schedule(period_of=(1,)), of.Schedule(period_of=(2,))
+        a, b = (1,), (2,)
         assert crossover(a, b, 1.0, rng) == (a, b)
 
     @given(st.integers(2, 8), st.randoms(use_true_random=False))
     @settings(max_examples=100)
     def test_per_position_multiset_preserved(self, n_p, rng):
-        a = of.Schedule(period_of=tuple(rng.randrange(1, 4) for _ in range(n_p)))
-        b = of.Schedule(period_of=tuple(rng.randrange(1, 4) for _ in range(n_p)))
+        a = tuple(rng.randrange(1, 4) for _ in range(n_p))
+        b = tuple(rng.randrange(1, 4) for _ in range(n_p))
         c1, c2 = crossover(a, b, 1.0, rng)
         for i in range(n_p):
-            assert {a.period_of[i], b.period_of[i]} == {c1.period_of[i], c2.period_of[i]}
+            assert {a[i], b[i]} == {c1[i], c2[i]}
 
 
 class TestMutate:
     def test_rate_zero_is_identity(self):
-        s = of.Schedule(period_of=(1, 2, 3))
+        s = (1, 2, 3)
         assert mutate(s, 0.0, 3, random.Random(0)) == s
 
     def test_rate_one_two_periods_flips_every_gene(self):
-        s = of.Schedule(period_of=(1, 2, 1, 2))
-        assert mutate(s, 1.0, 2, random.Random(0)).period_of == (2, 1, 2, 1)
+        s = (1, 2, 1, 2)
+        assert mutate(s, 1.0, 2, random.Random(0)) == (2, 1, 2, 1)
 
     def test_expected_changes_about_one_per_individual(self):
         n_p = 7
         rng = random.Random(42)
-        s = of.Schedule(period_of=(1,) * n_p)
+        s = (1,) * n_p
         trials = 10_000
         changed = sum(
-            sum(g != 1 for g in mutate(s, 1 / n_p, 3, rng).period_of) for _ in range(trials)
+            sum(g != 1 for g in mutate(s, 1 / n_p, 3, rng)) for _ in range(trials)
         )
         mean = changed / trials
         # binomial(n_p, 1/n_p): mean 1, sigma ~ sqrt(6/7)/100 per-trial average
@@ -189,11 +189,6 @@ class TestRunGa:
         assert a.trace == b.trace
         assert a.best_schedule == b.best_schedule
 
-    def test_workers_do_not_change_result(self, paper_instance):
-        a = of.run_ga(paper_instance, of.GaConfig(seed=5, workers=1))
-        b = of.run_ga(paper_instance, of.GaConfig(seed=5, workers=4))
-        assert a == b
-
     def test_trace_shape_and_monotonicity(self, paper_instance):
         res = of.run_ga(paper_instance, of.GaConfig(seed=2))
         assert len(res.trace) == res.generations_run
@@ -235,5 +230,5 @@ class TestRunGa:
 
 def test_greedy_seed_is_a_valid_schedule(paper_instance):
     s = greedy_seed(paper_instance)
-    assert len(s.period_of) == 7
-    assert all(1 <= k <= 3 for k in s.period_of)
+    assert len(s) == 7
+    assert all(1 <= k <= 3 for k in s)

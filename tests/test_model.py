@@ -104,6 +104,15 @@ class TestValidateInstance:
     def test_paper_fixture_is_valid(self, paper_instance):
         assert of.validate_instance(paper_instance) == []
 
+    def test_projects_out_of_id_order(self, paper_instance):
+        from dataclasses import replace
+
+        bad = replace(paper_instance, projects=paper_instance.projects[::-1])
+        msgs = of.validate_instance(bad)
+        assert any("listed in id order" in m for m in msgs)
+        with pytest.raises(ValueError, match="id order"):
+            of.evaluate(of.Schedule(period_of=(1, 2, 1, 2, 2, 3, 3)), bad)
+
     def test_self_loop_edge(self, paper_instance):
         from dataclasses import replace
 

@@ -5,7 +5,25 @@ from dataclasses import replace
 import pytest
 
 import optfolio as of
-from optfolio.valuation import score
+from optfolio.valuation import build_tables, score
+
+
+def brute_force(inst):
+    """Independent oracle: plain product enumeration scored with score, no pruning.
+
+    Returns (feasible count, (best value, best period tuple) or None); ties
+    keep the lexicographically first schedule.
+    """
+    tables = build_tables(inst)
+    best = None
+    count = 0
+    for per in itertools.product(range(1, inst.n_periods + 1), repeat=inst.n_projects):
+        viol, value = score(per, tables)
+        if viol == 0.0:
+            count += 1
+            if best is None or value > best[0]:
+                best = (value, per)
+    return count, best
 
 
 class TestEnumerateOptimal:
@@ -16,18 +34,41 @@ class TestEnumerateOptimal:
         assert res.best_breakdown.total_cost_per_period == (85, 105, 175)
 
     def test_matches_unpruned_brute_force(self, paper_instance):
-        # independent oracle: plain product enumeration, no pruning
-        best = None
-        count = 0
-        for per in itertools.product(range(1, 4), repeat=7):
-            viol, value = score(of.Schedule(period_of=per), paper_instance)
-            if viol == 0.0:
-                count += 1
-                if best is None or value > best[0]:
-                    best = (value, per)
+        count, best = brute_force(paper_instance)
         res = of.enumerate_optimal(paper_instance)
         assert count == res.feasible_count == 2
         assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
+
+    def test_matches_unpruned_brute_force_on_generated_instances(self):
+        rng = random.Random(1006)
+        feasible_seen = 0
+        for seed in range(40):
+            n_p, N = rng.randint(1, 7), rng.randint(2, 3)
+            inst = of.generate_instance(
+                n_p,
+                N,
+                edge_density=rng.uniform(0.0, 0.6),
+                partial_fraction=rng.uniform(0.0, 1.0),
+                budget_tightness=rng.uniform(0.6, 1.6),
+                seed=seed,
+            )
+            q_min = [0] * N
+            for _ in range(rng.randint(0, n_p)):
+                k = rng.randrange(N)
+                if q_min[k] < inst.q_max[k]:
+                    q_min[k] += 1
+            mode = rng.choice(("hard", "soft"))
+            inst = replace(inst, q_min=tuple(q_min), total_dependency_mode=mode)
+            assert of.validate_instance(inst) == []
+            count, best = brute_force(inst)
+            res = of.enumerate_optimal(inst)
+            assert res.feasible_count == count, f"seed {seed}"
+            if best is None:
+                assert res.best_schedule is None
+            else:
+                feasible_seen += 1
+                assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
+        assert 0 < feasible_seen < 40
 
     def test_budget_forces_period(self):
         inst = of.Instance(
@@ -105,8 +146,8 @@ class TestOracleProperties:
         res = of.enumerate_optimal(paper_instance)
         rng = random.Random(11)
         for _ in range(500):
-            s = of.Schedule(period_of=tuple(rng.randrange(1, 4) for _ in range(7)))
-            viol, value = score(s, paper_instance)
+            s = tuple(rng.randrange(1, 4) for _ in range(7))
+            viol, value = score(s, build_tables(paper_instance))
             if viol == 0.0:
                 assert value <= res.best_breakdown.total_value
 

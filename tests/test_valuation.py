@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import optfolio as of
-from optfolio.valuation import candidate_key, score
+from optfolio.valuation import build_tables, candidate_key, score
 
 
 def make_instance(costs, returns, edges, budgets, q_min, q_max, mode="hard"):
@@ -189,11 +189,37 @@ class TestEvaluate:
         rng = random.Random(7)
         for _ in range(200):
             s = random_schedule(rng, 7, 3)
-            viol, value = score(s, paper_instance)
+            viol, value = score(s.period_of, build_tables(paper_instance))
             b = of.evaluate(s, paper_instance)
             assert value == b.total_value
             assert viol == b.violation_score
             assert (viol == 0.0) == b.feasible
+
+    def test_score_agrees_exactly_on_generated_instances(self):
+        # non-integer values and many edges per project: any difference in
+        # summation order between the two paths shows up here
+        import random
+
+        rng = random.Random(2806)
+        for seed in range(300):
+            inst = of.generate_instance(
+                rng.randint(3, 60),
+                rng.randint(2, 5),
+                edge_density=rng.uniform(0.0, 0.3),
+                partial_fraction=rng.uniform(0.0, 1.0),
+                budget_tightness=rng.uniform(0.5, 1.5),
+                seed=seed,
+            )
+            if rng.random() < 0.3:
+                inst = replace(inst, total_dependency_mode="soft")
+            tables = build_tables(inst)
+            for _ in range(10):
+                s = random_schedule(rng, inst.n_projects, inst.n_periods)
+                viol, value = score(s.period_of, tables)
+                b = of.evaluate(s, inst)
+                assert value == b.total_value
+                assert viol == b.violation_score
+                assert (viol == 0.0) == b.feasible
 
     def test_no_edges_value_is_period_symmetric(self):
         # identical PV tables per period, no edges: ordering cannot matter
