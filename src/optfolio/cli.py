@@ -20,7 +20,7 @@ from . import __version__
 from .ga import GaConfig, run_ga
 from .generator import generate_instance
 from .model import Instance, validate_instance
-from .oracle import SearchSpaceCapExceeded, enumerate_optimal
+from .oracle import DEFAULT_CAP, SearchSpaceCapExceeded, enumerate_optimal
 from .serialization import (
     InstanceFormatError,
     breakdown_to_dict,
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exhaustive-enumeration optimum")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=10**7, help="max N^n_p to enumerate")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="max N^n_p to enumerate")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("evaluate", help="value breakdown for a schedule")
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmin-range", required=True, help="a..b inclusive")
     p.add_argument("--qmax-range", required=True, help="c..d inclusive")
     p.add_argument("--method", choices=("exact", "ga"), default="exact")
-    p.add_argument("--cap", type=int, default=10**7)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     _add_ga_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -10,6 +10,7 @@ internal representation is the compact period-per-project vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 MONEY_TOL = 1e-9
@@ -201,13 +202,17 @@ def validate_instance(inst: Instance) -> list[str]:
         v.append(f"q_min has {len(inst.q_min)} entries, expected N ({N})")
     if len(inst.q_max) != N:
         v.append(f"q_max has {len(inst.q_max)} entries, expected N ({N})")
-    if inst.rate < 0:
+    if not math.isfinite(inst.rate):
+        v.append(f"rate must be finite, got {inst.rate}")
+    elif inst.rate < 0:
         v.append(f"rate must be >= 0, got {inst.rate}")
     if inst.total_dependency_mode not in TOTAL_DEPENDENCY_MODES:
         v.append(f"total_dependency_mode must be one of {TOTAL_DEPENDENCY_MODES}")
 
     for k, b in enumerate(inst.budgets, start=1):
-        if b <= 0:
+        if not math.isfinite(b):
+            v.append(f"budgets[{k}] must be finite, got {b}")
+        elif b <= 0:
             v.append(f"budgets[{k}] must be > 0, got {b}")
     if len(inst.q_min) == len(inst.q_max) == N:
         for k in range(N):
@@ -232,15 +237,20 @@ def validate_instance(inst: Instance) -> list[str]:
         if len(p.return_pv) != N:
             v.append(f"project {p.id}: return_pv has {len(p.return_pv)} entries, expected N ({N})")
         for k, c in enumerate(p.cost_pv, start=1):
-            if c <= 0:
+            if not math.isfinite(c):
+                v.append(f"project {p.id}: cost_pv[{k}] must be finite, got {c}")
+            elif c <= 0:
                 v.append(f"project {p.id}: cost_pv[{k}] must be > 0, got {c}")
         for k, r in enumerate(p.return_pv, start=1):
-            if r < 0:
+            if not math.isfinite(r):
+                v.append(f"project {p.id}: return_pv[{k}] must be finite, got {r}")
+            elif r < 0:
                 v.append(f"project {p.id}: return_pv[{k}] must be >= 0, got {r}")
+        # the match tests are written so that a NaN counts as a mismatch
         if p.raw_cost is not None and len(p.cost_pv) == N:
             for k in range(1, N + 1):
                 expect = cost_present_value(p.raw_cost, inst.rate, k)
-                if abs(expect - p.cost_pv[k - 1]) > MONEY_TOL:
+                if not abs(expect - p.cost_pv[k - 1]) <= MONEY_TOL:
                     v.append(
                         f"project {p.id}: cost_pv[{k}] = {p.cost_pv[k - 1]} does not match "
                         f"raw_cost discounted to period {k} ({expect})"
@@ -251,7 +261,7 @@ def validate_instance(inst: Instance) -> list[str]:
             else:
                 for k in range(1, N + 1):
                     expect = return_present_value(list(p.return_stream), inst.rate, k)
-                    if abs(expect - p.return_pv[k - 1]) > MONEY_TOL:
+                    if not abs(expect - p.return_pv[k - 1]) <= MONEY_TOL:
                         v.append(
                             f"project {p.id}: return_pv[{k}] = {p.return_pv[k - 1]} does not match "
                             f"return_stream discounted to period {k} ({expect})"
@@ -270,9 +280,12 @@ def validate_instance(inst: Instance) -> list[str]:
         if pair in seen_pairs:
             v.append(f"duplicate edge for pair {pair}")
         seen_pairs.add(pair)
+        # also refuses NaN, which fails every comparison
         if not (0 < e.level <= 1):
             v.append(f"edge {pair}: level must be in (0, 1], got {e.level}")
-        if e.option_value < 0:
+        if not math.isfinite(e.option_value):
+            v.append(f"edge {pair}: option_value must be finite, got {e.option_value}")
+        elif e.option_value < 0:
             v.append(f"edge {pair}: option_value must be >= 0, got {e.option_value}")
 
     cycle = _find_cycle(inst)

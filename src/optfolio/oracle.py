@@ -1,9 +1,16 @@
 """Exact reference solver by exhaustive enumeration.
 
-Depth-first over all N^n_p period assignments with incremental pruning on
-budgets, cardinality bounds and (hard mode) precedence. Deliberately
-unsophisticated: its job is to certify the GA on desk-scale instances and
-to ground expected values in tests.
+Depth-first over all N^n_p period assignments, pruning on budgets,
+cardinality bounds and (hard mode) precedence. The pruning is exact: a
+period's spend is the same left-to-right float sum that `score` computes,
+restored by value on backtracking, and the q_min shortfall is an integer
+counter. So every leaf the search reaches is feasible and is counted
+without a kernel call. A running value is carried down the recursion,
+each project's DCF term and option sum added once the periods they read
+are placed; `score` values only the leaves whose running value can beat
+the incumbent, and its value is the one reported. Deliberately
+unsophisticated otherwise: its job is to certify the GA and to ground
+expected values in tests.
 """
 
 from __future__ import annotations
@@ -11,9 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Instance, Schedule, validate_instance
-from .valuation import EvaluationBreakdown, build_tables, evaluate, score
+from .valuation import (
+    EvaluationBreakdown,
+    build_tables,
+    dcf_term,
+    evaluate,
+    option_term,
+    score,
+)
 
 DEFAULT_CAP = 10**7
+
+# relative tolerance between the running value and `score`'s, which sum the
+# same terms in different orders
+VALUE_RTOL = 1e-9
 
 
 class SearchSpaceCapExceeded(ValueError):
@@ -66,6 +84,26 @@ def enumerate_optimal(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
         # dependent must not precede predecessor
         edges_at[later].append((other, later == di))
 
+    # each term of the value joins the running value at the depth where the
+    # last period it reads is placed; a project without option edges has no
+    # option term
+    dcf_at: list[list[int]] = [[] for _ in range(n_p)]
+    option_at: list[list[int]] = [[] for _ in range(n_p)]
+    for j in range(n_p):
+        dcf_at[max([j] + [pi for pi, _keep in tables.factor_in[j]])].append(j)
+        if tables.options_out[j]:
+            option_at[max([j] + [di for di, _val in tables.options_out[j]])].append(j)
+
+    # scaled by a bound on the summed magnitude of all terms, which bounds
+    # the rounding error of either sum
+    tol = VALUE_RTOL * (
+        1
+        + sum(
+            max(map(abs, r)) + max(map(abs, c)) + sum(val for _di, val in o)
+            for r, c, o in zip(tables.ret, cost, tables.options_out)
+        )
+    )
+
     best_per: tuple[int, ...] | None = None
     best_value = float("-inf")
     feasible_count = 0
@@ -74,23 +112,34 @@ def enumerate_optimal(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     spent = [0.0] * N
     count = [0] * N
 
-    def dfs(i: int) -> None:
+    def dfs(i: int, value: float, shortfall: int) -> None:
         nonlocal best_per, best_value, feasible_count
         if i == n_p:
-            viol, value = score(tuple(per), tables)
-            if viol == 0.0:
-                feasible_count += 1
-                if value > best_value:
-                    best_value = value
-                    best_per = tuple(per)
+            feasible_count += 1
+            if value + tol > best_value:
+                periods = tuple(per)
+                viol, exact = score(periods, tables)
+                if viol != 0.0 or abs(exact - value) > tol:
+                    raise RuntimeError(
+                        f"oracle invariant broken at {periods}: violation {viol}, "
+                        f"value {exact} against running value {value}"
+                    )
+                if exact > best_value:
+                    best_value = exact
+                    best_per = periods
             return
         remaining = n_p - i - 1
+        cost_i, pairs = cost[i], edges_at[i]
+        dcf_js, option_js = dcf_at[i], option_at[i]
         for k in range(1, N + 1):
-            c = cost[i][k - 1]
-            if count[k - 1] >= q_max[k - 1] or spent[k - 1] + c > budgets[k - 1]:
+            old, n = spent[k - 1], count[k - 1]
+            if n >= q_max[k - 1] or old + cost_i[k - 1] > budgets[k - 1]:
+                continue
+            short = shortfall - (n < q_min[k - 1])
+            if short > remaining:
                 continue
             ok = True
-            for other, i_is_dependent in edges_at[i]:
+            for other, i_is_dependent in pairs:
                 if i_is_dependent:
                     if k < per[other]:
                         ok = False
@@ -101,16 +150,19 @@ def enumerate_optimal(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
             if not ok:
                 continue
             per[i] = k
-            count[k - 1] += 1
-            spent[k - 1] += c
-            shortfall = sum(max(0, q_min[j] - count[j]) for j in range(N))
-            if shortfall <= remaining:
-                dfs(i + 1)
-            count[k - 1] -= 1
-            spent[k - 1] -= c
-            per[i] = 0
+            count[k - 1] = n + 1
+            spent[k - 1] = old + cost_i[k - 1]
+            v = value
+            for j in dcf_js:
+                v += dcf_term(j, per, tables)
+            for j in option_js:
+                v += option_term(j, per, tables)
+            dfs(i + 1, v, short)
+            count[k - 1] = n
+            # restored by value: subtracting the cost back can drift the sum
+            spent[k - 1] = old
 
-    dfs(0)
+    dfs(0, 0.0, sum(q_min))
     if best_per is None:
         return OracleResult(best_schedule=None, best_breakdown=None, feasible_count=0)
     s = Schedule(period_of=best_per)

@@ -34,6 +34,13 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _project_id(value, context: str) -> int:
+    # bool is an int subclass, and int() would accept floats and strings
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceFormatError(f"{context}: project ids must be integers, got {value!r}")
+    return value
+
+
 def instance_from_dict(doc: dict) -> Instance:
     """Parse an instance document; unknown keys (e.g. comments) are ignored."""
     if not isinstance(doc, dict):
@@ -48,7 +55,7 @@ def instance_from_dict(doc: dict) -> Instance:
 
     projects = []
     for pd in _require(doc, "projects", "instance"):
-        pid = _require(pd, "id", "project")
+        pid = _project_id(_require(pd, "id", "project"), "project")
         ctx = f"project {pid}"
         label = str(pd.get("label", f"P{pid}"))
         raw_cost = pd.get("raw_cost")
@@ -74,7 +81,7 @@ def instance_from_dict(doc: dict) -> Instance:
             raise InstanceFormatError(f"{ctx}: needs return_pv or return_stream")
         projects.append(
             Project(
-                id=int(pid),
+                id=pid,
                 label=label,
                 cost_pv=cost_pv,
                 return_pv=return_pv,
@@ -88,8 +95,8 @@ def instance_from_dict(doc: dict) -> Instance:
 
     edges = tuple(
         DependencyEdge(
-            predecessor=int(_require(ed, "predecessor", "edge")),
-            dependent=int(_require(ed, "dependent", "edge")),
+            predecessor=_project_id(_require(ed, "predecessor", "edge"), "edge predecessor"),
+            dependent=_project_id(_require(ed, "dependent", "edge"), "edge dependent"),
             level=float(_require(ed, "level", "edge")),
             option_value=float(_require(ed, "option_value", "edge")),
         )

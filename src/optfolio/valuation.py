@@ -147,6 +147,33 @@ def _account(per: tuple[int, ...], t: Tables, rows: list | None = None):
     return cost_k, cnt_k, prec, budget, card, dcf_total + opt_total
 
 
+def dcf_term(j: int, per, t: Tables) -> float:
+    """Project j's DCF term under `per`, bit-identical to `_account`'s.
+
+    Reads only the periods of j and of its factor predecessors, so a
+    search can add it as soon as those are placed.
+    """
+    k = per[j]
+    f = 1.0
+    for pi, keep in t.factor_in[j]:
+        if k < per[pi]:
+            f *= keep
+    return t.ret[j][k - 1] * f - t.cost[j][k - 1]
+
+
+def option_term(j: int, per, t: Tables) -> float:
+    """Option value project j accrues under `per`, bit-identical to `_account`'s.
+
+    Reads only the periods of j and of its option dependents.
+    """
+    k = per[j]
+    o = 0
+    for di, val in t.options_out[j]:
+        if k < per[di]:
+            o += val
+    return o
+
+
 def _violation(budget: float, card: int, n_prec: int, t: Tables) -> float:
     # Scale-free mix: feasibility only needs zero-vs-nonzero plus a
     # consistent order among infeasibles.

@@ -192,6 +192,51 @@ class TestExact:
         assert doc["period_of"] is None
 
 
+def _set_nan_budget(doc):
+    doc["budgets"][0] = float("nan")
+
+
+def _set_nan_option_value(doc):
+    doc["edges"][0]["option_value"] = float("nan")
+
+
+def _set_infinite_return(doc):
+    doc["projects"][0]["return_pv"][0] = float("inf")
+
+
+def _set_boolean_id(doc):
+    doc["projects"][0]["id"] = True
+
+
+def _set_fractional_edge_endpoint(doc):
+    doc["edges"][0]["dependent"] = 2.5
+
+
+class TestRefusedInput:
+    """Non-finite numbers and non-integer ids exit 1 instead of being solved."""
+
+    @pytest.mark.parametrize(
+        "command, corrupt",
+        [
+            ("solve", _set_nan_budget),
+            ("exact", _set_nan_budget),
+            ("exact", _set_nan_option_value),
+            ("exact", _set_infinite_return),
+            ("exact", _set_boolean_id),
+            ("exact", _set_fractional_edge_endpoint),
+        ],
+    )
+    def test_exits_one(self, tmp_path, paper_instance, command, corrupt):
+        doc = instance_to_dict(paper_instance)
+        corrupt(doc)
+        path = tmp_path / "bad.json"
+        # json writes NaN and Infinity, and reads them back as floats
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(command, str(path))
+        assert code == 1
+        assert out == ""
+
+
 class TestEvaluate:
     def test_comma_schedule(self):
         code, out = run_cli("evaluate", FIXTURE, "1,2,1,2,2,3,3")

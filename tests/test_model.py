@@ -173,3 +173,30 @@ class TestValidateInstance:
         inconsistent = replace(p0, raw_cost=99.0)
         bad = replace(paper_instance, projects=(inconsistent,) + paper_instance.projects[1:])
         assert any("does not match" in m for m in of.validate_instance(bad))
+
+    @pytest.mark.parametrize("bad_number", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["budgets", "rate", "cost_pv", "return_pv", "level", "option_value"]
+    )
+    def test_non_finite_numbers_rejected(self, paper_instance, field, bad_number):
+        from dataclasses import replace
+
+        inst = paper_instance
+        p0, e0 = inst.projects[0], inst.edges[0]
+        if field == "budgets":
+            bad = replace(inst, budgets=(bad_number,) + inst.budgets[1:])
+        elif field == "rate":
+            bad = replace(inst, rate=bad_number)
+        elif field in ("cost_pv", "return_pv"):
+            table = (bad_number,) + getattr(p0, field)[1:]
+            bad = replace(inst, projects=(replace(p0, **{field: table}),) + inst.projects[1:])
+        else:
+            bad = replace(inst, edges=(replace(e0, **{field: bad_number}),) + inst.edges[1:])
+        assert any(field in m for m in of.validate_instance(bad))
+
+    def test_nan_raw_cost_does_not_match(self, paper_instance):
+        from dataclasses import replace
+
+        p0 = replace(paper_instance.projects[0], raw_cost=math.nan)
+        bad = replace(paper_instance, projects=(p0,) + paper_instance.projects[1:])
+        assert any("does not match" in m for m in of.validate_instance(bad))

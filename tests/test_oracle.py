@@ -26,6 +26,31 @@ def brute_force(inst):
     return count, best
 
 
+def reverse_ids(inst):
+    """The same problem with project i renamed n_p + 1 - i, so edges run high to low."""
+    n = inst.n_projects
+    return replace(
+        inst,
+        projects=tuple(replace(p, id=i + 1) for i, p in enumerate(reversed(inst.projects))),
+        edges=tuple(
+            replace(e, predecessor=n + 1 - e.predecessor, dependent=n + 1 - e.dependent)
+            for e in inst.edges
+        ),
+    )
+
+
+def budget_at_subset_sum(inst, rng):
+    """One period's budget set to the id-order float sum of a random subset's costs."""
+    k = rng.randrange(inst.n_periods)
+    members = [p for p in inst.projects if rng.random() < 0.5] or [inst.projects[0]]
+    total = 0.0
+    for p in members:
+        total += p.cost_pv[k]
+    budgets = list(inst.budgets)
+    budgets[k] = total
+    return replace(inst, budgets=tuple(budgets))
+
+
 class TestEnumerateOptimal:
     def test_paper_fixture_optimum(self, paper_instance):
         res = of.enumerate_optimal(paper_instance)
@@ -41,6 +66,8 @@ class TestEnumerateOptimal:
 
     def test_matches_unpruned_brute_force_on_generated_instances(self):
         rng = random.Random(1006)
+        # a separate stream, so drawing variants leaves the base instances as they are
+        variant_rng = random.Random(2207)
         feasible_seen = 0
         for seed in range(40):
             n_p, N = rng.randint(1, 7), rng.randint(2, 3)
@@ -59,16 +86,62 @@ class TestEnumerateOptimal:
                     q_min[k] += 1
             mode = rng.choice(("hard", "soft"))
             inst = replace(inst, q_min=tuple(q_min), total_dependency_mode=mode)
-            assert of.validate_instance(inst) == []
-            count, best = brute_force(inst)
-            res = of.enumerate_optimal(inst)
-            assert res.feasible_count == count, f"seed {seed}"
-            if best is None:
-                assert res.best_schedule is None
-            else:
-                feasible_seen += 1
-                assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
+            cases = [inst]
+            # edges from a higher id to a lower one: a DCF term or option
+            # sum is known only once a later project is placed
+            if variant_rng.random() < 0.5:
+                cases.append(reverse_ids(inst))
+            # a budget that some schedules meet with equality
+            if variant_rng.random() < 0.5:
+                cases.append(budget_at_subset_sum(cases[-1], variant_rng))
+            for case in cases:
+                assert of.validate_instance(case) == []
+                count, best = brute_force(case)
+                res = of.enumerate_optimal(case)
+                assert res.feasible_count == count, f"seed {seed}"
+                if best is None:
+                    assert res.best_schedule is None
+                else:
+                    feasible_seen += case is inst
+                    assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
         assert 0 < feasible_seen < 40
+
+    def test_budget_equal_to_a_cost_sum_is_met(self):
+        # backtracking from 0.2 + 0.4 in period 1 by subtracting 0.4 would
+        # leave 0.20000000000000007, and adding 0.7 to that exceeds the
+        # budget that projects 1 and 3 meet exactly
+        inst = of.Instance(
+            n_projects=3,
+            n_periods=2,
+            projects=tuple(
+                of.Project(id=i + 1, label=f"P{i + 1}", cost_pv=(c, c), return_pv=(1.0, 1.0))
+                for i, c in enumerate((0.2, 0.4, 0.7))
+            ),
+            edges=(),
+            budgets=(0.2 + 0.7, 10.0),
+            q_min=(0, 0),
+            q_max=(3, 3),
+        )
+        count, best = brute_force(inst)
+        res = of.enumerate_optimal(inst)
+        assert count == res.feasible_count == 6
+        assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
+
+    def test_scores_only_leaves_that_can_beat_the_incumbent(self, monkeypatch):
+        import optfolio.oracle as oracle
+
+        calls = []
+
+        def counting_score(periods, tables):
+            calls.append(periods)
+            return score(periods, tables)
+
+        monkeypatch.setattr(oracle, "score", counting_score)
+        inst = of.generate_instance(8, 3, edge_density=0.2, budget_tightness=3.0, seed=5)
+        res = of.enumerate_optimal(inst)
+        assert res.feasible_count > 1000
+        assert len(calls) < res.feasible_count / 10
+        assert res.best_schedule.period_of in calls
 
     def test_budget_forces_period(self):
         inst = of.Instance(

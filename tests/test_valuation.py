@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import optfolio as of
-from optfolio.valuation import build_tables, candidate_key, score
+from optfolio.valuation import build_tables, candidate_key, dcf_term, option_term, score
 
 
 def make_instance(costs, returns, edges, budgets, q_min, q_max, mode="hard"):
@@ -197,7 +197,7 @@ class TestEvaluate:
 
     def test_score_agrees_exactly_on_generated_instances(self):
         # non-integer values and many edges per project: any difference in
-        # summation order between the two paths shows up here
+        # summation order between the paths shows up here
         import random
 
         rng = random.Random(2806)
@@ -220,6 +220,9 @@ class TestEvaluate:
                 assert value == b.total_value
                 assert viol == b.violation_score
                 assert (viol == 0.0) == b.feasible
+                for j in range(inst.n_projects):
+                    assert dcf_term(j, s.period_of, tables) == b.dcf_values[j]
+                    assert option_term(j, s.period_of, tables) == b.option_accrued[j]
 
     def test_no_edges_value_is_period_symmetric(self):
         # identical PV tables per period, no edges: ordering cannot matter
