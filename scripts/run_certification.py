@@ -2,10 +2,13 @@
 """Certify the GA against the exact oracle on a generated corpus.
 
 For each seeded random instance, compares the GA's best value (defaults,
-restarts=5) with the exhaustive optimum and reports the hit rate.
+restarts=5) with the exhaustive optimum and reports the hit rate. Exits 1
+when the GA misses an optimum by more than 2% or claims a feasible
+schedule on an instance the oracle proves infeasible.
 """
 
 import argparse
+import sys
 import time
 
 import optfolio as of
@@ -18,14 +21,17 @@ def main():
     args = ap.parse_args()
 
     start = time.monotonic()
-    exact = near = miss = infeasible = 0
+    exact = near = miss = infeasible = false_feasible = 0
     for seed in range(1, args.seeds + 1):
         inst = of.generate_instance(5 + seed % 4, 2 + seed % 2, seed=seed)
         oracle = of.enumerate_optimal(inst)
         ga = of.run_ga(inst, of.GaConfig(seed=seed, restarts=args.restarts))
         if not oracle.feasible:
             infeasible += 1
-            status = "infeasible" if not ga.best_breakdown.feasible else "GA CLAIMS FEASIBLE?!"
+            status = "infeasible"
+            if ga.best_breakdown.feasible:
+                false_feasible += 1
+                status = "GA CLAIMS FEASIBLE?!"
             print(f"seed {seed:3d}: {status}")
             continue
         gv, ov = ga.best_breakdown.total_value, oracle.best_breakdown.total_value
@@ -44,7 +50,8 @@ def main():
     elapsed = time.monotonic() - start
     print(f"\nexact {exact}, near {near}, miss {miss}, infeasible {infeasible}, "
           f"elapsed {elapsed:.1f}s")
+    return 1 if miss or false_feasible else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .model import Chromosome, Instance, Schedule, validate_instance
-from .valuation import EvaluationBreakdown, build_tables, evaluate, score
+from .model import Chromosome, Instance, Schedule
+from .valuation import EvaluationBreakdown, _breakdown, build_tables, score
 
 
 @dataclass(frozen=True)
@@ -161,12 +161,9 @@ def run_ga(inst: Instance, cfg: GaConfig = GaConfig()) -> SolveResult:
     identical result and trace (evaluation is pure and RNG-free; all
     randomness is drawn from one sequential stream per restart).
     """
-    violations = validate_instance(inst)
-    if violations:
-        raise ValueError("invalid instance: " + "; ".join(violations))
+    tables = build_tables(inst)
     n_p, N = inst.n_projects, inst.n_periods
     mut_rate = cfg.mutation_rate if cfg.mutation_rate is not None else (1.0 / n_p if n_p else 0.0)
-    tables = build_tables(inst)
     # memoized (violation, value) per period tuple; evaluation is pure
     scores: dict[tuple[int, ...], tuple[float, float]] = {}
 
@@ -229,10 +226,9 @@ def run_ga(inst: Instance, cfg: GaConfig = GaConfig()) -> SolveResult:
             population = next_pop
 
     assert best_key is not None
-    best_sched = Schedule(period_of=best_key[2])
     return SolveResult(
-        best_schedule=best_sched,
-        best_breakdown=evaluate(best_sched, inst),
+        best_schedule=Schedule(period_of=best_key[2]),
+        best_breakdown=_breakdown(best_key[2], tables),
         generations_run=len(trace),
         trace=tuple(trace),
         terminated_by=terminated_by,

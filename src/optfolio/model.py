@@ -202,6 +202,8 @@ def validate_instance(inst: Instance) -> list[str]:
         v.append(f"q_min has {len(inst.q_min)} entries, expected N ({N})")
     if len(inst.q_max) != N:
         v.append(f"q_max has {len(inst.q_max)} entries, expected N ({N})")
+    # the discounting functions refuse any other rate
+    rate_ok = math.isfinite(inst.rate) and inst.rate >= 0
     if not math.isfinite(inst.rate):
         v.append(f"rate must be finite, got {inst.rate}")
     elif inst.rate < 0:
@@ -247,7 +249,7 @@ def validate_instance(inst: Instance) -> list[str]:
             elif r < 0:
                 v.append(f"project {p.id}: return_pv[{k}] must be >= 0, got {r}")
         # the match tests are written so that a NaN counts as a mismatch
-        if p.raw_cost is not None and len(p.cost_pv) == N:
+        if p.raw_cost is not None and len(p.cost_pv) == N and rate_ok:
             for k in range(1, N + 1):
                 expect = cost_present_value(p.raw_cost, inst.rate, k)
                 if not abs(expect - p.cost_pv[k - 1]) <= MONEY_TOL:
@@ -255,7 +257,7 @@ def validate_instance(inst: Instance) -> list[str]:
                         f"project {p.id}: cost_pv[{k}] = {p.cost_pv[k - 1]} does not match "
                         f"raw_cost discounted to period {k} ({expect})"
                     )
-        if p.return_stream is not None and len(p.return_pv) == N:
+        if p.return_stream is not None and len(p.return_pv) == N and rate_ok:
             if not p.return_stream:
                 v.append(f"project {p.id}: return_stream must be non-empty when given")
             else:
@@ -301,25 +303,24 @@ def _find_cycle(inst: Instance) -> list[int] | None:
         succ.setdefault(e.predecessor, []).append(e.dependent)
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {pid: WHITE for pid in set(succ) | {d for ds in succ.values() for d in ds}}
-    stack: list[int] = []
-
-    def visit(u: int) -> list[int] | None:
-        color[u] = GRAY
-        stack.append(u)
-        for w in succ.get(u, ()):
-            if color[w] == GRAY:
-                return stack[stack.index(w):] + [w]
-            if color[w] == WHITE:
-                found = visit(w)
-                if found:
-                    return found
-        stack.pop()
-        color[u] = BLACK
-        return None
-
-    for node in list(color):
-        if color[node] == WHITE:
-            found = visit(node)
-            if found:
-                return found
+    for root in list(color):
+        if color[root] != WHITE:
+            continue
+        # iterative, so a long dependency chain cannot exhaust the recursion
+        # limit; path holds the gray nodes, todo each one's unvisited successors
+        color[root] = GRAY
+        path = [root]
+        todo = [iter(succ.get(root, ()))]
+        while todo:
+            for w in todo[-1]:
+                if color[w] == GRAY:
+                    return path[path.index(w):] + [w]
+                if color[w] == WHITE:
+                    color[w] = GRAY
+                    path.append(w)
+                    todo.append(iter(succ.get(w, ())))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                todo.pop()
     return None

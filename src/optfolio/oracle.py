@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Instance, Schedule, validate_instance
+from .model import Instance, Schedule
 from .valuation import (
     EvaluationBreakdown,
+    _breakdown,
     build_tables,
     dcf_term,
-    evaluate,
     option_term,
     score,
 )
@@ -54,15 +54,6 @@ class OracleResult:
         return self.best_schedule is not None
 
 
-def _check_instance(inst: Instance, cap: int) -> None:
-    violations = validate_instance(inst)
-    if violations:
-        raise ValueError("invalid instance: " + "; ".join(violations))
-    size = inst.n_periods**inst.n_projects
-    if size > cap:
-        raise SearchSpaceCapExceeded(size, cap)
-
-
 def enumerate_optimal(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     """Best feasible schedule by exhaustive search.
 
@@ -70,9 +61,11 @@ def enumerate_optimal(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     by enumerating in lexicographic order and keeping strict improvements
     only), so the result is independent of any search-order partitioning.
     """
-    _check_instance(inst, cap)
-    n_p, N = inst.n_projects, inst.n_periods
     tables = build_tables(inst)
+    n_p, N = inst.n_projects, inst.n_periods
+    size = N**n_p
+    if size > cap:
+        raise SearchSpaceCapExceeded(size, cap)
     cost = tables.cost
     budgets, q_min, q_max = inst.budgets, inst.q_min, inst.q_max
 
@@ -165,9 +158,10 @@ def enumerate_optimal(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     dfs(0, 0.0, sum(q_min))
     if best_per is None:
         return OracleResult(best_schedule=None, best_breakdown=None, feasible_count=0)
-    s = Schedule(period_of=best_per)
     return OracleResult(
-        best_schedule=s, best_breakdown=evaluate(s, inst), feasible_count=feasible_count
+        best_schedule=Schedule(period_of=best_per),
+        best_breakdown=_breakdown(best_per, tables),
+        feasible_count=feasible_count,
     )
 
 

@@ -34,10 +34,10 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
-def _project_id(value, context: str) -> int:
-    # bool is an int subclass, and int() would accept floats and strings
+def _integer(value, context: str) -> int:
+    # bool is an int subclass, and int() would truncate floats and parse strings
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InstanceFormatError(f"{context}: project ids must be integers, got {value!r}")
+        raise InstanceFormatError(f"{context} must be an integer, got {value!r}")
     return value
 
 
@@ -45,17 +45,17 @@ def instance_from_dict(doc: dict) -> Instance:
     """Parse an instance document; unknown keys (e.g. comments) are ignored."""
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
-    n_p = _require(doc, "n_p", "instance")
-    n_periods = _require(doc, "N", "instance")
+    n_p = _integer(_require(doc, "n_p", "instance"), "n_p")
+    n_periods = _integer(_require(doc, "N", "instance"), "N")
     rate = float(doc.get("rate", 0.0))
     budgets = tuple(float(b) for b in _require(doc, "budgets", "instance"))
-    q_min = tuple(int(q) for q in _require(doc, "q_min", "instance"))
-    q_max = tuple(int(q) for q in _require(doc, "q_max", "instance"))
+    q_min = tuple(_integer(q, "q_min entry") for q in _require(doc, "q_min", "instance"))
+    q_max = tuple(_integer(q, "q_max entry") for q in _require(doc, "q_max", "instance"))
     mode = doc.get("total_dependency_mode", "hard")
 
     projects = []
     for pd in _require(doc, "projects", "instance"):
-        pid = _project_id(_require(pd, "id", "project"), "project")
+        pid = _integer(_require(pd, "id", "project"), "project id")
         ctx = f"project {pid}"
         label = str(pd.get("label", f"P{pid}"))
         raw_cost = pd.get("raw_cost")
@@ -95,8 +95,8 @@ def instance_from_dict(doc: dict) -> Instance:
 
     edges = tuple(
         DependencyEdge(
-            predecessor=_project_id(_require(ed, "predecessor", "edge"), "edge predecessor"),
-            dependent=_project_id(_require(ed, "dependent", "edge"), "edge dependent"),
+            predecessor=_integer(_require(ed, "predecessor", "edge"), "edge predecessor"),
+            dependent=_integer(_require(ed, "dependent", "edge"), "edge dependent"),
             level=float(_require(ed, "level", "edge")),
             option_value=float(_require(ed, "option_value", "edge")),
         )
@@ -104,8 +104,8 @@ def instance_from_dict(doc: dict) -> Instance:
     )
 
     return Instance(
-        n_projects=int(n_p),
-        n_periods=int(n_periods),
+        n_projects=n_p,
+        n_periods=n_periods,
         projects=tuple(projects),
         edges=edges,
         budgets=budgets,

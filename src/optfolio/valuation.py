@@ -6,9 +6,11 @@ option values accrued on outgoing edges whose dependents are funded
 strictly later. Feasibility covers per-period budgets, cardinality bounds
 and, in hard mode, total-dependency precedence.
 
-An instance is compiled once into `Tables` (`build_tables`); `score` is
-the hot-path kernel the solvers call on plain period tuples, and
-`evaluate` reports the same accounting in full. Both run `_account`, so
+`build_tables` is the one gate: it refuses an instance that
+`validate_instance` faults and compiles a valid one into `Tables`, once
+per `evaluate` call or solve. `score` is the hot-path kernel the solvers
+call on plain period tuples; `evaluate`, and each solver for the schedule
+it returns, report the same accounting in full. All run `_account`, so
 they agree exactly.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import Instance, Schedule
+from .model import Instance, Schedule, validate_instance
 
 # Partial-dependency reduction and option accrual both key off strict
 # precedence: funding in the same period counts as "together with" the
@@ -47,8 +49,8 @@ class EvaluationBreakdown:
 class Tables:
     """Index-based views of an instance for tight evaluation loops.
 
-    Project i (0-based) is the project with id i + 1; validate_instance
-    guarantees that projects are listed in that order.
+    Project i (0-based) is the project with id i + 1; build_tables
+    refuses an instance whose projects are not listed in that order.
     """
 
     n_projects: int
@@ -65,21 +67,21 @@ class Tables:
     q_min: tuple[int, ...]
     q_max: tuple[int, ...]
     budget_total: float
+    instance: Instance = field(repr=False)
 
 
 def build_tables(inst: Instance) -> Tables:
-    """Compile an instance for scoring; solvers build this once per solve."""
+    """Compile a valid instance for scoring; refuse an invalid one, listing its violations."""
+    violations = validate_instance(inst)
+    if violations:
+        raise ValueError("invalid instance: " + "; ".join(violations))
     n = inst.n_projects
-    if any(p.id != i + 1 for i, p in enumerate(inst.projects)):
-        raise ValueError(f"projects must be listed in id order 1..{n}")
     soft = inst.total_dependency_mode == "soft"
     factor_in: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     options_out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     hard_edges: list[tuple[int, int]] = []
     for e in inst.edges:
         pi, di = e.predecessor - 1, e.dependent - 1
-        if not (0 <= pi < n and 0 <= di < n):
-            raise ValueError(f"edge ({e.predecessor}, {e.dependent}) references an unknown project")
         if e.level < 1.0 or soft:
             factor_in[di].append((pi, 1.0 - e.level))
         if e.level == 1.0 and not soft:
@@ -100,6 +102,7 @@ def build_tables(inst: Instance) -> Tables:
         q_min=inst.q_min,
         q_max=inst.q_max,
         budget_total=budget_total,
+        instance=inst,
     )
 
 
@@ -191,16 +194,22 @@ def score(periods: tuple[int, ...], t: Tables) -> tuple[float, float]:
 
 
 def evaluate(s: Schedule, inst: Instance) -> EvaluationBreakdown:
-    """Full evaluation: per-project values, totals, violations, feasibility."""
-    if len(s.period_of) != inst.n_projects:
-        raise ValueError(
-            f"schedule length {len(s.period_of)} != n_p ({inst.n_projects})"
-        )
-    if any(k > inst.n_periods for k in s.period_of):
-        raise ValueError("schedule references a period beyond N")
+    """Full evaluation: per-project values, totals, violations, feasibility.
+
+    Raises ValueError on an invalid instance or a schedule that does not fit it.
+    """
     t = build_tables(inst)
+    if len(s.period_of) != t.n_projects:
+        raise ValueError(f"schedule length {len(s.period_of)} != n_p ({t.n_projects})")
+    if any(k > t.n_periods for k in s.period_of):
+        raise ValueError("schedule references a period beyond N")
+    return _breakdown(s.period_of, t)
+
+
+def _breakdown(per: tuple[int, ...], t: Tables) -> EvaluationBreakdown:
+    """Full accounting of a period tuple that fits the tables' instance."""
     rows: list[tuple[float, float, float, float]] = []
-    cost_k, cnt_k, prec, budget, card, total = _account(s.period_of, t, rows)
+    cost_k, cnt_k, prec, budget, card, total = _account(per, t, rows)
     factors, effs, dcfs, options = zip(*rows) if rows else ((), (), (), ())
     N = t.n_periods
     return EvaluationBreakdown(
@@ -217,7 +226,7 @@ def evaluate(s: Schedule, inst: Instance) -> EvaluationBreakdown:
         precedence_violations=tuple((pi + 1, di + 1) for pi, di in prec),
         feasible=budget == 0.0 and card == 0 and not prec,
         violation_score=_violation(budget, card, len(prec), t),
-        instance=inst,
+        instance=t.instance,
     )
 
 

@@ -1,10 +1,16 @@
 import io
 import json
+import math
+import os
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import optfolio as of
 from optfolio.cli import main
+from optfolio.oracle import VALUE_RTOL
 from optfolio.serialization import (
     instance_from_dict,
     instance_to_dict,
@@ -212,8 +218,25 @@ def _set_fractional_edge_endpoint(doc):
     doc["edges"][0]["dependent"] = 2.5
 
 
+def _set_fractional_q_max(doc):
+    doc["q_max"] = [3.9, 3.9, 3.9]
+
+
+def _set_boolean_q_min(doc):
+    doc["q_min"] = [True, 2, 2]
+
+
+def _set_fractional_period_count(doc):
+    doc["N"] = 3.2
+
+
+def _set_float_project_count(doc):
+    doc["n_p"] = 7.0
+
+
 class TestRefusedInput:
-    """Non-finite numbers and non-integer ids exit 1 instead of being solved."""
+    """Non-finite numbers, non-integer ids and non-integer counts exit 1
+    instead of being solved."""
 
     @pytest.mark.parametrize(
         "command, corrupt",
@@ -224,6 +247,10 @@ class TestRefusedInput:
             ("exact", _set_infinite_return),
             ("exact", _set_boolean_id),
             ("exact", _set_fractional_edge_endpoint),
+            ("exact", _set_fractional_q_max),
+            ("exact", _set_boolean_q_min),
+            ("exact", _set_fractional_period_count),
+            ("exact", _set_float_project_count),
         ],
     )
     def test_exits_one(self, tmp_path, paper_instance, command, corrupt):
@@ -235,6 +262,101 @@ class TestRefusedInput:
         code, out = run_cli(command, str(path))
         assert code == 1
         assert out == ""
+
+
+def _count_calls(monkeypatch, home: str, name: str) -> list:
+    """Count calls of `home.name` through every optfolio module that binds it."""
+    original = getattr(sys.modules[home], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.partition(".")[0] == "optfolio" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("solve", FIXTURE, "--seed", "1"), ("exact", FIXTURE), ("evaluate", FIXTURE, "1,2,1,2,2,3,3")],
+    ids=["solve", "exact", "evaluate"],
+)
+def test_each_request_validates_and_compiles_once(monkeypatch, argv):
+    validated = _count_calls(monkeypatch, "optfolio.model", "validate_instance")
+    compiled = _count_calls(monkeypatch, "optfolio.valuation", "build_tables")
+    code, _ = run_cli(*argv)
+    assert code == 0
+    assert (len(validated), len(compiled)) == (1, 1)
+
+
+def test_long_dependency_chain(tmp_path):
+    # one chain of partial edges, far deeper than the interpreter's
+    # default recursion limit
+    n = 3000
+    doc = {
+        "n_p": n,
+        "N": 2,
+        "budgets": [1e6, 1e6],
+        "q_min": [0, 0],
+        "q_max": [n, n],
+        "projects": [{"id": i, "cost_pv": [1, 1], "return_pv": [2, 2]} for i in range(1, n + 1)],
+        "edges": [
+            {"predecessor": i, "dependent": i + 1, "level": 0.5, "option_value": 1}
+            for i in range(1, n)
+        ],
+    }
+    assert of.validate_instance(instance_from_dict(doc)) == []
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli("evaluate", str(path), ",".join(["1"] * n))
+    assert code == 0
+    assert json.loads(out)["total_value"] == n
+
+
+@given(
+    n_p=st.integers(1, 8),
+    n_periods=st.integers(2, 3),
+    edge_density=st.sampled_from([0.0, 0.3, 0.7]),
+    mode=st.sampled_from(["hard", "soft"]),
+    gen_seed=st.integers(0, 10**6),
+    ga_seed=st.integers(0, 1000),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=25, deadline=None)
+def test_permuted_documents_solve_alike(n_p, n_periods, edge_density, mode, gen_seed, ga_seed, rng):
+    doc = instance_to_dict(
+        of.generate_instance(n_p, n_periods, edge_density=edge_density, seed=gen_seed)
+    )
+    doc["total_dependency_mode"] = mode
+    variants = {
+        "base": doc,
+        "projects": dict(doc, projects=rng.sample(doc["projects"], n_p)),
+        "edges": dict(doc, edges=rng.sample(doc["edges"], len(doc["edges"]))),
+    }
+    with tempfile.TemporaryDirectory() as d:
+        paths = {}
+        for name, variant in variants.items():
+            paths[name] = os.path.join(d, f"{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(variant, fh)
+        ga = ("--seed", str(ga_seed), "--population", "20", "--generations", "10")
+        # projects are sorted by id on load, so nothing downstream can tell
+        assert run_cli("solve", paths["projects"], *ga) == run_cli("solve", paths["base"], *ga)
+        assert run_cli("exact", paths["projects"]) == run_cli("exact", paths["base"])
+        # edge order changes the order of float sums, but not feasibility
+        (code, out), (base_code, base_out) = run_cli("exact", paths["edges"]), run_cli(
+            "exact", paths["base"]
+        )
+    assert code == base_code
+    res, base = json.loads(out), json.loads(base_out)
+    assert res["feasible_count"] == base["feasible_count"]
+    if base["value"] is None:
+        assert res["value"] is None
+    else:
+        assert math.isclose(res["value"], base["value"], rel_tol=VALUE_RTOL, abs_tol=VALUE_RTOL)
 
 
 class TestEvaluate:

@@ -143,6 +143,19 @@ class TestValidateInstance:
         )
         assert any("cycle" in m for m in of.validate_instance(bad))
 
+    def test_cycle_through_a_long_chain_is_named(self, paper_instance):
+        from dataclasses import replace
+
+        n = 3000
+        projects = tuple(replace(paper_instance.projects[0], id=i) for i in range(1, n + 1))
+        chain = tuple(of.DependencyEdge(i, i + 1, 0.5, 0) for i in range(1, n))
+        inst = replace(paper_instance, n_projects=n, projects=projects, q_max=(n,) * 3)
+        assert of.validate_instance(replace(inst, edges=chain)) == []
+        back = of.DependencyEdge(n, 1, 0.5, 0)
+        cycle = " -> ".join(map(str, list(range(1, n + 1)) + [1]))
+        msgs = of.validate_instance(replace(inst, edges=chain + (back,)))
+        assert msgs == [f"dependency graph contains a cycle: {cycle}"]
+
     def test_duplicate_edge(self, paper_instance):
         from dataclasses import replace
 
@@ -193,6 +206,13 @@ class TestValidateInstance:
         else:
             bad = replace(inst, edges=(replace(e0, **{field: bad_number}),) + inst.edges[1:])
         assert any(field in m for m in of.validate_instance(bad))
+
+    def test_negative_rate_with_raw_cost_is_reported(self, paper_instance):
+        from dataclasses import replace
+
+        p0 = replace(paper_instance.projects[0], raw_cost=10.0)
+        bad = replace(paper_instance, rate=-0.1, projects=(p0,) + paper_instance.projects[1:])
+        assert "rate must be >= 0, got -0.1" in of.validate_instance(bad)
 
     def test_nan_raw_cost_does_not_match(self, paper_instance):
         from dataclasses import replace

@@ -31,6 +31,22 @@ def random_schedule(rng, n_p, n_periods):
     return of.Schedule(period_of=tuple(rng.randrange(1, n_periods + 1) for _ in range(n_p)))
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda inst: of.evaluate(of.Schedule(period_of=(1, 2, 1, 2, 2, 3, 3)), inst),
+        lambda inst: of.run_ga(inst, of.GaConfig(seed=0)),
+        of.enumerate_optimal,
+    ],
+    ids=["evaluate", "run_ga", "enumerate_optimal"],
+)
+def test_every_entry_point_refuses_an_invalid_instance(paper_instance, entry):
+    # sum of q_min (9) > n_p (7)
+    bad = replace(paper_instance, q_min=(3, 3, 3))
+    with pytest.raises(ValueError, match="invalid instance"):
+        entry(bad)
+
+
 class TestPartialBenefitFactor:
     def test_same_period_keeps_full_benefit(self, paper_instance):
         s = of.Schedule(period_of=(1, 2, 1, 2, 2, 3, 3))
