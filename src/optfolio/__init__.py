@@ -28,6 +28,7 @@ from .oracle import OracleResult, SearchSpaceCapExceeded, count_feasible, enumer
 from .serialization import instance_from_dict, instance_to_dict, load_instance, save_instance
 from .valuation import (
     EvaluationBreakdown,
+    InvalidInstanceError,
     check_feasibility,
     compare_candidates,
     dcf_value,
@@ -55,6 +56,7 @@ __all__ = [
     "GaConfig",
     "Instance",
     "InvalidChromosomeError",
+    "InvalidInstanceError",
     "OracleResult",
     "Project",
     "Schedule",

@@ -8,7 +8,8 @@ Subcommands:
   gen       write a random valid instance file
 
 Exit codes: 0 success with a feasible result, 1 input/usage error,
-2 infeasible result, 3 enumeration cap exceeded.
+2 infeasible result, 3 enumeration cap exceeded (N^n_p over --cap, or more
+projects than the exact search can recurse through).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .serialization import (
     solve_result_to_dict,
     trace_to_csv,
 )
-from .valuation import evaluate
+from .valuation import InvalidInstanceError, evaluate
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -111,7 +112,7 @@ def _parse_range(spec: str, flag: str) -> range:
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
     inst = load_instance(args.instance)
-    # checked here, not by the solvers, because an invalid cell prints as skipped
+    # checked here: the solvers refuse an invalid cell, which prints as skipped
     violations = validate_instance(inst)
     if violations:
         raise InstanceFormatError(f"{args.instance}: invalid instance: " + "; ".join(violations))
@@ -122,30 +123,24 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     out.write("q_min,q_max,status,value,schedule\n")
     for qmin in qmins:
         for qmax in qmaxs:
-            if qmin > qmax:
-                out.write(f"{qmin},{qmax},skipped,,\n")
-                continue
             cell = replace(
                 inst,
                 q_min=(qmin,) * inst.n_periods,
                 q_max=(qmax,) * inst.n_periods,
             )
-            if validate_instance(cell):
+            # the solver's table build is the cell's gate (q_min > q_max included)
+            try:
+                if args.method == "exact":
+                    res = enumerate_optimal(cell, cap=args.cap)
+                else:
+                    res = run_ga(cell, _ga_config(args))
+            except InvalidInstanceError:
                 out.write(f"{qmin},{qmax},skipped,,\n")
                 continue
-            if args.method == "exact":
-                res = enumerate_optimal(cell, cap=args.cap)
-                sched = res.best_schedule
-                value = res.best_breakdown.total_value if sched else None
-                feasible = res.feasible
-            else:
-                r = run_ga(cell, _ga_config(args))
-                sched = r.best_schedule if r.best_breakdown.feasible else None
-                value = r.best_breakdown.total_value if r.best_breakdown.feasible else None
-                feasible = r.best_breakdown.feasible
-            if feasible:
-                sched_txt = "-".join(map(str, sched.period_of))
-                out.write(f"{qmin},{qmax},ok,{value:.6f},{sched_txt}\n")
+            best = res.best_breakdown  # None when the oracle finds no feasible schedule
+            if best is not None and best.feasible:
+                sched_txt = "-".join(map(str, res.best_schedule.period_of))
+                out.write(f"{qmin},{qmax},ok,{best.total_value:.6f},{sched_txt}\n")
             else:
                 out.write(f"{qmin},{qmax},infeasible,,\n")
     return EXIT_OK

@@ -8,13 +8,16 @@ counter. So every leaf the search reaches is feasible and is counted
 without a kernel call. A running value is carried down the recursion,
 each project's DCF term and option sum added once the periods they read
 are placed; `score` values only the leaves whose running value can beat
-the incumbent, and its value is the one reported. Deliberately
+the incumbent, and its value is the one reported. The recursion is one
+level per project, so an instance with more projects than the interpreter's
+remaining stack allows is refused like one over the cap. Deliberately
 unsophisticated otherwise: its job is to certify the GA and to ground
 expected values in tests.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .model import Instance, Schedule
@@ -34,13 +37,29 @@ DEFAULT_CAP = 10**7
 VALUE_RTOL = 1e-9
 
 
+# frames a leaf needs above the search's own: `score` and what it calls,
+# plus any wrapper a caller installs around them
+_STACK_MARGIN = 50
+
+
 class SearchSpaceCapExceeded(ValueError):
     """Instance is too large for exhaustive enumeration."""
 
-    def __init__(self, size: int, cap: int):
+    def __init__(
+        self, size: int, cap: int, what: str = "search space N^n_p", limit: str = "enumeration cap"
+    ):
         self.size = size
         self.cap = cap
-        super().__init__(f"search space N^n_p = {size} exceeds enumeration cap {cap}")
+        super().__init__(f"{what} = {size} exceeds {limit} {cap}")
+
+
+def _recursion_headroom() -> int:
+    """Frames the calling thread can still push before RecursionError, less a margin."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return sys.getrecursionlimit() - depth - _STACK_MARGIN
 
 
 @dataclass(frozen=True)
@@ -66,6 +85,10 @@ def enumerate_optimal(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     size = N**n_p
     if size > cap:
         raise SearchSpaceCapExceeded(size, cap)
+    # the search recurses once per project (N=1 passes any cap)
+    headroom = _recursion_headroom()
+    if n_p > headroom:
+        raise SearchSpaceCapExceeded(n_p, headroom, "search depth n_p", "recursion headroom")
     cost = tables.cost
     budgets, q_min, q_max = inst.budgets, inst.q_min, inst.q_max
 

@@ -25,6 +25,10 @@ from .model import Instance, Schedule, validate_instance
 # predecessor, so it neither reduces benefit nor accrues the option.
 
 
+class InvalidInstanceError(ValueError):
+    """The instance fails `validate_instance`; the message lists every violation."""
+
+
 @dataclass(frozen=True)
 class EvaluationBreakdown:
     """Full per-project and per-period accounting for one schedule."""
@@ -74,7 +78,7 @@ def build_tables(inst: Instance) -> Tables:
     """Compile a valid instance for scoring; refuse an invalid one, listing its violations."""
     violations = validate_instance(inst)
     if violations:
-        raise ValueError("invalid instance: " + "; ".join(violations))
+        raise InvalidInstanceError("invalid instance: " + "; ".join(violations))
     n = inst.n_projects
     soft = inst.total_dependency_mode == "soft"
     factor_in: list[list[tuple[int, float]]] = [[] for _ in range(n)]
@@ -196,7 +200,8 @@ def score(periods: tuple[int, ...], t: Tables) -> tuple[float, float]:
 def evaluate(s: Schedule, inst: Instance) -> EvaluationBreakdown:
     """Full evaluation: per-project values, totals, violations, feasibility.
 
-    Raises ValueError on an invalid instance or a schedule that does not fit it.
+    Raises InvalidInstanceError (a ValueError) on an invalid instance and
+    ValueError on a schedule that does not fit it.
     """
     t = build_tables(inst)
     if len(s.period_of) != t.n_projects:

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -185,6 +186,28 @@ class TestExact:
         code, _ = run_cli("exact", FIXTURE, "--cap", "100")
         assert code == 3
 
+    def test_more_projects_than_the_search_can_recurse_through_exits_three(self, tmp_path, capsys):
+        # N=1 passes the N^n_p cap at any size, but the search recurses once
+        # per project
+        n = 1500
+        doc = {
+            "n_p": n,
+            "N": 1,
+            "budgets": [1e6],
+            "q_min": [0],
+            "q_max": [n],
+            "projects": [{"id": i, "cost_pv": [1], "return_pv": [2]} for i in range(1, n + 1)],
+            "edges": [],
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli("exact", str(path))
+        assert code == 3
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: search depth n_p = 1500 exceeds recursion headroom")
+        assert err.count("\n") == 1
+
     def test_infeasible_exits_two(self, tmp_path, paper_instance):
         from dataclasses import replace
 
@@ -292,6 +315,26 @@ def test_each_request_validates_and_compiles_once(monkeypatch, argv):
     assert (len(validated), len(compiled)) == (1, 1)
 
 
+def test_exact_evaluate_and_small_solves_never_import_numpy():
+    # numpy is imported only by the GA's batch scoring, which a desk-scale
+    # solve never reaches
+    script = "\n".join([
+        "import sys",
+        "import optfolio.cli as cli",
+        f"assert cli.main(['exact', {FIXTURE!r}]) == 0",
+        f"assert cli.main(['evaluate', {FIXTURE!r}, '1,2,1,2,2,3,3']) == 0",
+        f"assert cli.main(['solve', {FIXTURE!r}, '--seed', '1', '--restarts', '2']) == 0",
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))",
+    ])
+    src = os.path.dirname(os.path.dirname(of.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_long_dependency_chain(tmp_path):
     # one chain of partial edges, far deeper than the interpreter's
     # default recursion limit
@@ -388,6 +431,19 @@ class TestEvaluate:
         assert "row 1 has 2 set bits" in capsys.readouterr().err
 
 
+SWEEP_CSV = """q_min,q_max,status,value,schedule
+1,2,skipped,,
+1,3,ok,{ok13}
+1,4,ok,203.000000,1-2-1-2-2-3-3
+2,2,skipped,,
+2,3,ok,203.000000,1-2-1-2-2-3-3
+2,4,ok,203.000000,1-2-1-2-2-3-3
+3,2,skipped,,
+3,3,skipped,,
+3,4,skipped,,
+"""
+
+
 class TestSweep:
     def test_degenerate_sweep_equals_exact(self):
         code, out = run_cli("sweep", FIXTURE, "--qmin-range", "2..2", "--qmax-range", "3..3")
@@ -408,6 +464,32 @@ class TestSweep:
         code, out = run_cli("sweep", FIXTURE, "--qmin-range", "3..3", "--qmax-range", "2..2")
         assert code == 0
         assert out.strip().splitlines()[1] == "3,2,skipped,,"
+
+    def test_cells_print_as_before(self):
+        # covers ok cells, cells the solver refuses as invalid (sum of q_max
+        # below n_p, sum of q_min above it) and q_min > q_max cells
+        code, out = run_cli("sweep", FIXTURE, "--qmin-range", "1..3", "--qmax-range", "2..4")
+        assert code == 0
+        assert out == SWEEP_CSV.format(ok13="203.000000,1-2-1-2-2-3-3")
+        code, out = run_cli(
+            "sweep", FIXTURE, "--qmin-range", "1..3", "--qmax-range", "2..4",
+            "--method", "ga", "--seed", "1", "--generations", "30",
+        )
+        assert code == 0
+        assert out == SWEEP_CSV.format(ok13="176.750000,2-2-1-2-1-3-3")
+
+    def test_each_cell_is_validated_once(self, monkeypatch):
+        validated = _count_calls(monkeypatch, "optfolio.model", "validate_instance")
+        code, _ = run_cli("sweep", FIXTURE, "--qmin-range", "1..2", "--qmax-range", "3..4")
+        assert code == 0
+        # the base document, then each of the four cells once, in the solver
+        assert len(validated) == 5
+
+    def test_cap_exceeded_exits_three(self):
+        code, _ = run_cli(
+            "sweep", FIXTURE, "--qmin-range", "1..2", "--qmax-range", "3..4", "--cap", "100"
+        )
+        assert code == 3
 
     def test_ga_method_runs(self):
         code, out = run_cli(
