@@ -10,7 +10,8 @@ import optfolio as of
 
 def main():
     inst = of.load_paper_fixture()
-    res = of.enumerate_optimal(inst)
+    tables = of.build_tables(inst)
+    res = of.enumerate_optimal(tables)
     b = res.best_breakdown
     print("exact optimum")
     print(f"  schedule (period per project): {res.best_schedule.period_of}")
@@ -24,7 +25,7 @@ def main():
 
     print("\nGA, default config, seeds 1..10")
     for seed in range(1, 11):
-        r = of.run_ga(inst, of.GaConfig(seed=seed))
+        r = of.run_ga(tables, of.GaConfig(seed=seed))
         mark = "== oracle" if r.best_breakdown.total_value == b.total_value else "!= oracle"
         print(
             f"  seed {seed:2d}: value {r.best_breakdown.total_value:8.2f}  "

@@ -24,8 +24,9 @@ def main():
     exact = near = miss = infeasible = false_feasible = 0
     for seed in range(1, args.seeds + 1):
         inst = of.generate_instance(5 + seed % 4, 2 + seed % 2, seed=seed)
-        oracle = of.enumerate_optimal(inst)
-        ga = of.run_ga(inst, of.GaConfig(seed=seed, restarts=args.restarts))
+        tables = of.build_tables(inst)
+        oracle = of.enumerate_optimal(tables)
+        ga = of.run_ga(tables, of.GaConfig(seed=seed, restarts=args.restarts))
         if not oracle.feasible:
             infeasible += 1
             status = "infeasible"

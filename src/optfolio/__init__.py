@@ -29,6 +29,8 @@ from .serialization import instance_from_dict, instance_to_dict, load_instance, 
 from .valuation import (
     EvaluationBreakdown,
     InvalidInstanceError,
+    Tables,
+    build_tables,
     check_feasibility,
     compare_candidates,
     dcf_value,
@@ -62,6 +64,8 @@ __all__ = [
     "Schedule",
     "SearchSpaceCapExceeded",
     "SolveResult",
+    "Tables",
+    "build_tables",
     "check_feasibility",
     "compare_candidates",
     "cost_present_value",

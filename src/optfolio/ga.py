@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .model import Chromosome, Instance, Schedule
-from .valuation import EvaluationBreakdown, _breakdown, build_tables, score
+from .valuation import EvaluationBreakdown, Tables, _breakdown, build_tables, score
 
 # A generation's new genomes are scored in one numpy batch when they hold at
 # least this many genes (genomes x n_p), else one by one with `score`. A
@@ -59,6 +59,8 @@ class GaConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
+        if self.stagnation_limit < 1:
+            raise ValueError("stagnation_limit must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -143,20 +145,20 @@ def tournament_select(
     return population[best_i]
 
 
-def greedy_seed(inst: Instance) -> tuple[int, ...]:
+def greedy_seed(t: Tables) -> tuple[int, ...]:
     """Cheapest-first fill into earliest periods under budget and q_max.
 
     Used to seed one individual per restart; may be infeasible (the GA
     repairs that through search).
     """
-    order = sorted(range(inst.n_projects), key=lambda i: (inst.projects[i].cost_pv[0], i))
-    periods = [inst.n_periods] * inst.n_projects
-    spent = [0.0] * inst.n_periods
-    count = [0] * inst.n_periods
+    order = sorted(range(t.n_projects), key=lambda i: (t.cost[i][0], i))
+    periods = [t.n_periods] * t.n_projects
+    spent = [0.0] * t.n_periods
+    count = [0] * t.n_periods
     for i in order:
-        for k in range(inst.n_periods):
-            c = inst.projects[i].cost_pv[k]
-            if count[k] < inst.q_max[k] and spent[k] + c <= inst.budgets[k]:
+        for k in range(t.n_periods):
+            c = t.cost[i][k]
+            if count[k] < t.q_max[k] and spent[k] + c <= t.budgets[k]:
                 periods[i] = k + 1
                 spent[k] += c
                 count[k] += 1
@@ -168,7 +170,7 @@ def _random_periods(n_projects: int, n_periods: int, rng: random.Random) -> tupl
     return tuple(rng.randrange(1, n_periods + 1) for _ in range(n_projects))
 
 
-def run_ga(inst: Instance, cfg: GaConfig = GaConfig()) -> SolveResult:
+def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
     """Run the GA, returning the best individual ever seen across restarts.
 
     Deterministic: identical (instance, config incl. seed) gives an
@@ -176,7 +178,7 @@ def run_ga(inst: Instance, cfg: GaConfig = GaConfig()) -> SolveResult:
     randomness is drawn from one sequential stream per restart).
     """
     tables = build_tables(inst)
-    n_p, N = inst.n_projects, inst.n_periods
+    n_p, N = tables.n_projects, tables.n_periods
     mut_rate = cfg.mutation_rate if cfg.mutation_rate is not None else (1.0 / n_p if n_p else 0.0)
     # memoized (violation, value) per period tuple; evaluation is pure
     scores: dict[tuple[int, ...], tuple[float, float]] = {}
@@ -189,7 +191,7 @@ def run_ga(inst: Instance, cfg: GaConfig = GaConfig()) -> SolveResult:
 
     for restart in range(cfg.restarts):
         rng = random.Random(f"{cfg.seed}:{restart}")
-        population = [greedy_seed(inst)] + [
+        population = [greedy_seed(tables)] + [
             _random_periods(n_p, N, rng) for _ in range(cfg.population_size - 1)
         ]
         restart_best_key: tuple | None = None

@@ -77,6 +77,9 @@ def generate_instance(
                 )
 
     budget = budget_tightness * total_cost / n_periods
+    # a NaN or infinite factor, or one large enough to overflow, passes the check above
+    if not math.isfinite(budget):
+        raise ValueError(f"budget_tightness {budget_tightness} gives non-finite budgets")
     q_max_val = min(n_projects, math.ceil(n_projects / n_periods) + 1)
     return Instance(
         n_projects=n_projects,

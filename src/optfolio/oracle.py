@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .model import Instance, Schedule
 from .valuation import (
     EvaluationBreakdown,
+    Tables,
     _breakdown,
     build_tables,
     dcf_term,
@@ -73,7 +74,7 @@ class OracleResult:
         return self.best_schedule is not None
 
 
-def enumerate_optimal(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
+def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> OracleResult:
     """Best feasible schedule by exhaustive search.
 
     Ties break to the lexicographically smallest period vector (guaranteed
@@ -81,7 +82,7 @@ def enumerate_optimal(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     only), so the result is independent of any search-order partitioning.
     """
     tables = build_tables(inst)
-    n_p, N = inst.n_projects, inst.n_periods
+    n_p, N = tables.n_projects, tables.n_periods
     size = N**n_p
     if size > cap:
         raise SearchSpaceCapExceeded(size, cap)
@@ -90,7 +91,7 @@ def enumerate_optimal(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     if n_p > headroom:
         raise SearchSpaceCapExceeded(n_p, headroom, "search depth n_p", "recursion headroom")
     cost = tables.cost
-    budgets, q_min, q_max = inst.budgets, inst.q_min, inst.q_max
+    budgets, q_min, q_max = tables.budgets, tables.q_min, tables.q_max
 
     # hard precedence edges indexed by the later-assigned endpoint so each
     # pair is checked exactly once, as soon as both endpoints have periods
@@ -188,6 +189,6 @@ def enumerate_optimal(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     )
 
 
-def count_feasible(inst: Instance, cap: int = DEFAULT_CAP) -> int:
+def count_feasible(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> int:
     """Exact number of schedules with zero violations."""
     return enumerate_optimal(inst, cap=cap).feasible_count

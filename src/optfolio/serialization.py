@@ -17,6 +17,7 @@ from .model import (
     Project,
     Schedule,
     cost_present_value,
+    decode_chromosome,
     encode_schedule,
     return_present_value,
 )
@@ -193,9 +194,9 @@ def _schedule_doc(s: Schedule, n_periods: int) -> dict:
     }
 
 
-def solve_result_to_dict(res: SolveResult, inst: Instance) -> dict:
+def solve_result_to_dict(res: SolveResult) -> dict:
     doc = {"method": "ga"}
-    doc.update(_schedule_doc(res.best_schedule, inst.n_periods))
+    doc.update(_schedule_doc(res.best_schedule, res.best_breakdown.instance.n_periods))
     doc.update(
         {
             "value": res.best_breakdown.total_value,
@@ -208,10 +209,10 @@ def solve_result_to_dict(res: SolveResult, inst: Instance) -> dict:
     return doc
 
 
-def oracle_result_to_dict(res: OracleResult, inst: Instance) -> dict:
+def oracle_result_to_dict(res: OracleResult) -> dict:
     doc = {"method": "exact", "feasible_count": res.feasible_count}
     if res.best_schedule is not None:
-        doc.update(_schedule_doc(res.best_schedule, inst.n_periods))
+        doc.update(_schedule_doc(res.best_schedule, res.best_breakdown.instance.n_periods))
         doc["value"] = res.best_breakdown.total_value
         doc["feasible"] = True
         doc["breakdown"] = breakdown_to_dict(res.best_breakdown)
@@ -260,8 +261,6 @@ def parse_schedule_arg(arg: str, n_projects: int, n_periods: int) -> Schedule:
         if any(not (1 <= k <= n_periods) for k in periods):
             raise ValueError(f"schedule periods must be in 1..{n_periods}")
         return Schedule(period_of=periods)
-    from .model import decode_chromosome  # local to avoid cycle at import time
-
     chrom = Chromosome.from_text(text)
     if chrom.n_projects != n_projects or chrom.n_periods != n_periods:
         raise ValueError(

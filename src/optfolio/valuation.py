@@ -7,11 +7,14 @@ strictly later. Feasibility covers per-period budgets, cardinality bounds
 and, in hard mode, total-dependency precedence.
 
 `build_tables` is the one gate: it refuses an instance that
-`validate_instance` faults and compiles a valid one into `Tables`, once
-per `evaluate` call or solve. `score` is the hot-path kernel the solvers
-call on plain period tuples; `evaluate`, and each solver for the schedule
-it returns, report the same accounting in full. All run `_account`, so
-they agree exactly.
+`validate_instance` faults and compiles a valid one into `Tables`, and
+passes `Tables` through unchanged. Every entry point (`evaluate` and its
+views, the GA and the oracle) takes an `Instance` or its `Tables` and
+starts with `build_tables`, so a caller that values or solves one
+instance many times compiles it once and passes the `Tables` on.
+`score` is the hot-path kernel the solvers call on plain period tuples;
+`evaluate`, and each solver for the schedule it returns, report the same
+accounting in full. All run `_account`, so they agree exactly.
 """
 
 from __future__ import annotations
@@ -51,10 +54,14 @@ class EvaluationBreakdown:
 
 @dataclass(frozen=True)
 class Tables:
-    """Index-based views of an instance for tight evaluation loops.
+    """A validated instance compiled into index-based views for tight loops.
 
-    Project i (0-based) is the project with id i + 1; build_tables
-    refuses an instance whose projects are not listed in that order.
+    Obtain one only from `build_tables`, once per instance, and pass it to
+    `evaluate` and its views, `run_ga`, `enumerate_optimal` or
+    `count_feasible` in place of the instance. It is never validated again,
+    so a hand-built `Tables` would skip the gate. Project i (0-based) is
+    the project with id i + 1; build_tables refuses an instance whose
+    projects are not listed in that order.
     """
 
     n_projects: int
@@ -74,8 +81,14 @@ class Tables:
     instance: Instance = field(repr=False)
 
 
-def build_tables(inst: Instance) -> Tables:
-    """Compile a valid instance for scoring; refuse an invalid one, listing its violations."""
+def build_tables(inst: Instance | Tables) -> Tables:
+    """Compile a valid instance for scoring; refuse an invalid one, listing its violations.
+
+    Given `Tables`, returns them unchanged: they were validated and compiled
+    when built, so an instance is compiled once, not once per call.
+    """
+    if isinstance(inst, Tables):
+        return inst
     violations = validate_instance(inst)
     if violations:
         raise InvalidInstanceError("invalid instance: " + "; ".join(violations))
@@ -197,11 +210,13 @@ def score(periods: tuple[int, ...], t: Tables) -> tuple[float, float]:
     return _violation(budget, card, len(prec), t), total
 
 
-def evaluate(s: Schedule, inst: Instance) -> EvaluationBreakdown:
+def evaluate(s: Schedule, inst: Instance | Tables) -> EvaluationBreakdown:
     """Full evaluation: per-project values, totals, violations, feasibility.
 
-    Raises InvalidInstanceError (a ValueError) on an invalid instance and
-    ValueError on a schedule that does not fit it.
+    An `Instance` is validated and compiled on every call; to value many
+    schedules of one instance, compile it once with `build_tables` and pass
+    the `Tables`. Raises InvalidInstanceError (a ValueError) on an invalid
+    instance and ValueError on a schedule that does not fit it.
     """
     t = build_tables(inst)
     if len(s.period_of) != t.n_projects:
@@ -235,7 +250,7 @@ def _breakdown(per: tuple[int, ...], t: Tables) -> EvaluationBreakdown:
     )
 
 
-def check_feasibility(s: Schedule, inst: Instance) -> dict:
+def check_feasibility(s: Schedule, inst: Instance | Tables) -> dict:
     """Violation quantities for budgets, cardinality and hard precedence."""
     b = evaluate(s, inst)
     return {
@@ -249,7 +264,7 @@ def check_feasibility(s: Schedule, inst: Instance) -> dict:
     }
 
 
-def partial_benefit_factor(project_id: int, s: Schedule, inst: Instance) -> float:
+def partial_benefit_factor(project_id: int, s: Schedule, inst: Instance | Tables) -> float:
     """Benefit multiplier for a project given unmet incoming dependencies.
 
     Each incoming partial edge whose predecessor is funded strictly later
@@ -260,12 +275,12 @@ def partial_benefit_factor(project_id: int, s: Schedule, inst: Instance) -> floa
     return evaluate(s, inst).partial_factors[project_id - 1]
 
 
-def dcf_value(project_id: int, s: Schedule, inst: Instance) -> float:
+def dcf_value(project_id: int, s: Schedule, inst: Instance | Tables) -> float:
     """Return PV (after benefit reduction) minus cost PV for the funded period."""
     return evaluate(s, inst).dcf_values[project_id - 1]
 
 
-def option_accrual(project_id: int, s: Schedule, inst: Instance) -> float:
+def option_accrual(project_id: int, s: Schedule, inst: Instance | Tables) -> float:
     """Option value the project earns from dependents funded strictly later."""
     return evaluate(s, inst).option_accrued[project_id - 1]
 

@@ -46,8 +46,9 @@ def test_criterion_1_oracle_certification(certification_corpus):
     exact_hits = 0
     near_hits = 0
     for seed, inst in certification_corpus:
-        oracle = of.enumerate_optimal(inst)
-        ga = of.run_ga(inst, of.GaConfig(seed=seed, restarts=5))
+        tables = of.build_tables(inst)
+        oracle = of.enumerate_optimal(tables)
+        ga = of.run_ga(tables, of.GaConfig(seed=seed, restarts=5))
         if not oracle.feasible:
             # nothing to attain; GA must agree that no feasible schedule exists
             exact_hits += not ga.best_breakdown.feasible
@@ -77,7 +78,8 @@ def test_criterion_2_case_study_reproduction(paper_instance):
     costs; GA matches the oracle value for every seed 1..10. The reference
     optimum value 203 is a pinned regression value (the published headline
     portfolio value is not derivable from the published input tables)."""
-    res = of.enumerate_optimal(paper_instance)
+    tables = of.build_tables(paper_instance)
+    res = of.enumerate_optimal(tables)
     ok = (
         res.best_schedule.period_of == (1, 2, 1, 2, 2, 3, 3)
         and res.best_breakdown.total_cost_per_period == (85, 105, 175)
@@ -85,7 +87,7 @@ def test_criterion_2_case_study_reproduction(paper_instance):
         and res.best_breakdown.total_value == 203
     )
     ga_values = [
-        of.run_ga(paper_instance, of.GaConfig(seed=seed)).best_breakdown.total_value
+        of.run_ga(tables, of.GaConfig(seed=seed)).best_breakdown.total_value
         for seed in range(1, 11)
     ]
     ok = ok and all(v == res.best_breakdown.total_value for v in ga_values)
@@ -146,6 +148,7 @@ def test_criterion_3_strict_precedence_option_semantics(certification_corpus):
     for seed, inst in certification_corpus:
         if not inst.edges or inst.n_periods < 2:
             continue
+        tables = of.build_tables(inst)
         for _ in range(1000):
             edge = rng.choice(inst.edges)
             pi, di = edge.predecessor - 1, edge.dependent - 1
@@ -155,10 +158,10 @@ def test_criterion_3_strict_precedence_option_semantics(certification_corpus):
             per[pi] = rng.randrange(1, inst.n_periods)
             per[di] = per[pi]
             later = rng.randrange(per[pi] + 1, inst.n_periods + 1)
-            before = of.evaluate(of.Schedule(period_of=tuple(per)), inst).total_value
+            before = of.evaluate(of.Schedule(period_of=tuple(per)), tables).total_value
             moved = list(per)
             moved[di] = later
-            after = of.evaluate(of.Schedule(period_of=tuple(moved)), inst).total_value
+            after = of.evaluate(of.Schedule(period_of=tuple(moved)), tables).total_value
             expected = _incremental_delta(inst, per, di, later)
             err = abs((after - before) - expected)
             worst = max(worst, err)

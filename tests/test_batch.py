@@ -72,7 +72,7 @@ def test_batch_equals_score_on_every_member(name):
     inst, boundary = _budget_at_boundary(inst, rng)
     tables = build_tables(inst)
     n_p, N = inst.n_projects, inst.n_periods
-    population = [boundary, ga.greedy_seed(inst)]
+    population = [boundary, ga.greedy_seed(tables)]
     population += [ga.mutate(boundary, 2 / n_p, N, rng) for _ in range(20)]
     population += [tuple(rng.randint(1, N) for _ in range(n_p)) for _ in range(60)]
     got = batch.score_batch(population, batch.compile_tables(tables))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,6 +141,12 @@ class TestSolve:
         )
         assert code == 2
         assert json.loads(out)["feasible"] is False
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_stagnation_below_one_exits_one(self, limit):
+        code, out = run_cli("solve", FIXTURE, "--seed", "1", "--stagnation", limit)
+        assert code == 1
+        assert out == ""
 
 
 class TestExact:
@@ -313,6 +320,52 @@ def test_each_request_validates_and_compiles_once(monkeypatch, argv):
     code, _ = run_cli(*argv)
     assert code == 0
     assert (len(validated), len(compiled)) == (1, 1)
+
+
+def _soft_generated():
+    inst = of.generate_instance(7, 3, edge_density=0.5, seed=4)
+    return replace(inst, total_dependency_mode="soft")
+
+
+# funds dependents ahead of predecessors on some edges of both instances, so
+# partial factors and option accruals both vary
+_SCHEDULE = of.Schedule(period_of=(2, 3, 1, 2, 1, 3, 2))
+_COMPILE_ONCE_CALLS = {
+    "evaluate": lambda src: of.evaluate(_SCHEDULE, src),
+    "check_feasibility": lambda src: of.check_feasibility(_SCHEDULE, src),
+    "dcf_value": lambda src: [of.dcf_value(j, _SCHEDULE, src) for j in range(1, 8)],
+    "option_accrual": lambda src: [of.option_accrual(j, _SCHEDULE, src) for j in range(1, 8)],
+    "partial_benefit_factor": lambda src: [
+        of.partial_benefit_factor(j, _SCHEDULE, src) for j in range(1, 8)
+    ],
+    "run_ga": lambda src: of.run_ga(src, of.GaConfig(seed=3, max_generations=20)),
+    "enumerate_optimal": of.enumerate_optimal,
+    "count_feasible": of.count_feasible,
+}
+
+
+@pytest.mark.parametrize("make", [of.load_paper_fixture, _soft_generated], ids=["paper", "soft"])
+@pytest.mark.parametrize("name", sorted(_COMPILE_ONCE_CALLS))
+def test_tables_pass_through_without_validation(monkeypatch, make, name):
+    call = _COMPILE_ONCE_CALLS[name]
+    inst = make()
+    tables = of.build_tables(inst)
+    assert of.build_tables(tables) is tables
+    want = call(inst)
+    validated = _count_calls(monkeypatch, "optfolio.model", "validate_instance")
+    got = call(tables)
+    assert validated == []
+    assert got == want
+    assert repr(got) == repr(want)
+    if name == "evaluate":
+        # a breakdown from either path compares with one from the other
+        other = of.Schedule(period_of=(1,) * 7)
+        by_instance = (other, of.evaluate(other, inst))
+        by_tables = (other, of.evaluate(other, tables))
+        assert of.compare_candidates((_SCHEDULE, want), by_tables) == of.compare_candidates(
+            (_SCHEDULE, want), by_instance
+        )
+        assert of.compare_candidates((_SCHEDULE, want), (_SCHEDULE, got)) == 0
 
 
 def test_exact_evaluate_and_small_solves_never_import_numpy():
@@ -529,6 +582,17 @@ class TestGen:
             "gen", "--projects", "0", "--periods", "2", "--out", str(tmp_path / "x.json")
         )
         assert code == 1
+
+    # 1e308 is finite, but the budgets it gives overflow
+    @pytest.mark.parametrize("tightness", ["nan", "inf", "1e308"])
+    def test_non_finite_budgets_exit_one(self, tmp_path, tightness):
+        path = tmp_path / "x.json"
+        code, _ = run_cli(
+            "gen", "--projects", "5", "--periods", "2", "--budget-tightness", tightness,
+            "--out", str(path),
+        )
+        assert code == 1
+        assert not path.exists()
 
 
 def test_solve_value_never_exceeds_exact(tmp_path):

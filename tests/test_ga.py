@@ -158,6 +158,11 @@ class TestGaConfig:
         with pytest.raises(ValueError):
             of.GaConfig(tournament_size=0)
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_stagnation_limit_below_one_refused(self, limit):
+        with pytest.raises(ValueError, match="stagnation_limit"):
+            of.GaConfig(stagnation_limit=limit)
+
 
 class TestRunGa:
     def test_finds_paper_optimum(self, paper_instance):
@@ -229,6 +234,6 @@ class TestRunGa:
 
 
 def test_greedy_seed_is_a_valid_schedule(paper_instance):
-    s = greedy_seed(paper_instance)
+    s = greedy_seed(of.build_tables(paper_instance))
     assert len(s) == 7
     assert all(1 <= k <= 3 for k in s)

@@ -45,6 +45,9 @@ def test_all_generated_instances_are_valid():
         {"n_projects": 5, "n_periods": 3, "edge_density": 1.5},
         {"n_projects": 5, "n_periods": 3, "partial_fraction": -0.1},
         {"n_projects": 5, "n_periods": 3, "budget_tightness": 0.0},
+        {"n_projects": 5, "n_periods": 3, "budget_tightness": float("nan")},
+        {"n_projects": 5, "n_periods": 3, "budget_tightness": float("inf")},
+        {"n_projects": 5, "n_periods": 3, "budget_tightness": 1e308},
     ],
 )
 def test_parameter_validation(kwargs):
