@@ -10,11 +10,16 @@ Subcommands:
 Exit codes: 0 success with a feasible result, 1 input/usage error,
 2 infeasible result, 3 enumeration cap exceeded (N^n_p over --cap, or more
 projects than the exact search can recurse through).
+
+Defaults live only in the library: each GA and gen flag stores under the
+GaConfig field or generate_instance parameter it sets, and only the flags
+given are forwarded, as keyword arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import replace
@@ -43,34 +48,27 @@ EXIT_CAP_EXCEEDED = 3
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--population", type=int, default=100)
-    p.add_argument("--generations", type=int, default=200)
-    p.add_argument("--mutation-rate", type=float, default=None)
-    p.add_argument("--crossover-rate", type=float, default=0.8)
-    p.add_argument("--tournament", type=int, default=3)
-    p.add_argument("--elites", type=int, default=2)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--stagnation", type=int, default=50)
+    # dest is the GaConfig field; metavar keeps the flag's own name in --help
+    p.add_argument("--seed", type=int)
+    p.add_argument("--population", type=int, dest="population_size", metavar="POPULATION")
+    p.add_argument("--generations", type=int, dest="max_generations", metavar="GENERATIONS")
+    p.add_argument("--mutation-rate", type=float)
+    p.add_argument("--crossover-rate", type=float)
+    p.add_argument("--tournament", type=int, dest="tournament_size", metavar="TOURNAMENT")
+    p.add_argument("--elites", type=int, dest="elite_count", metavar="ELITES")
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--stagnation", type=int, dest="stagnation_limit", metavar="STAGNATION")
 
 
-def _ga_config(args: argparse.Namespace) -> GaConfig:
-    return GaConfig(
-        population_size=args.population,
-        max_generations=args.generations,
-        stagnation_limit=args.stagnation,
-        tournament_size=args.tournament,
-        crossover_rate=args.crossover_rate,
-        mutation_rate=args.mutation_rate,
-        elite_count=args.elites,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+def _given(args: argparse.Namespace, target) -> dict:
+    """The flags set on the command line that name a parameter of target."""
+    params = inspect.signature(target).parameters
+    return {k: v for k, v in vars(args).items() if k in params}
 
 
 def cmd_solve(args: argparse.Namespace, out) -> int:
     inst = load_instance(args.instance)
-    res = run_ga(inst, _ga_config(args))
+    res = run_ga(inst, GaConfig(**_given(args, GaConfig)))
     if args.trace_out:
         with open(args.trace_out, "w") as fh:
             fh.write(trace_to_csv(res.trace))
@@ -128,7 +126,7 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
                 if args.method == "exact":
                     res = enumerate_optimal(cell, cap=args.cap)
                 else:
-                    res = run_ga(cell, _ga_config(args))
+                    res = run_ga(cell, GaConfig(**_given(args, GaConfig)))
             except InvalidInstanceError:
                 out.write(f"{qmin},{qmax},skipped,,\n")
                 continue
@@ -142,15 +140,7 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
 
 
 def cmd_gen(args: argparse.Namespace, out) -> int:
-    inst = generate_instance(
-        n_projects=args.projects,
-        n_periods=args.periods,
-        edge_density=args.edge_density,
-        partial_fraction=args.partial_fraction,
-        budget_tightness=args.budget_tightness,
-        seed=args.seed,
-    )
-    save_instance(inst, args.out)
+    save_instance(generate_instance(**_given(args, generate_instance)), args.out)
     return EXIT_OK
 
 
@@ -161,8 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"optfolio {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag left unset stays out of the namespace, so the library default applies
+    unset = argparse.SUPPRESS
 
-    p = sub.add_parser("solve", help="GA solver")
+    p = sub.add_parser("solve", help="GA solver", argument_default=unset)
     p.add_argument("instance")
     _add_ga_flags(p)
     p.add_argument("--trace-out", default=None, help="write convergence trace CSV here")
@@ -178,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("schedule", help="comma-separated periods, or a bit-rows file/blob")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="grid of cardinality bounds")
+    p = sub.add_parser("sweep", help="grid of cardinality bounds", argument_default=unset)
     p.add_argument("instance")
     p.add_argument("--qmin-range", required=True, help="a..b inclusive")
     p.add_argument("--qmax-range", required=True, help="c..d inclusive")
@@ -187,13 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ga_flags(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("gen", help="write a random valid instance")
-    p.add_argument("--projects", type=int, required=True)
-    p.add_argument("--periods", type=int, required=True)
-    p.add_argument("--edge-density", type=float, default=0.3)
-    p.add_argument("--partial-fraction", type=float, default=0.3)
-    p.add_argument("--budget-tightness", type=float, default=1.25)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("gen", help="write a random valid instance", argument_default=unset)
+    p.add_argument("--projects", type=int, required=True, dest="n_projects", metavar="PROJECTS")
+    p.add_argument("--periods", type=int, required=True, dest="n_periods", metavar="PERIODS")
+    p.add_argument("--edge-density", type=float)
+    p.add_argument("--partial-fraction", type=float)
+    p.add_argument("--budget-tightness", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

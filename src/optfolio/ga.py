@@ -8,18 +8,21 @@ repair here for raw bit matrices). Constraint handling is feasibility-
 first comparison rather than penalty weights: any feasible individual
 dominates any infeasible one.
 
-Each generation's genomes not yet in the score memo are valued together:
-one numpy batch (`batch.score_batch`, bit-identical to `valuation.score`)
-when they hold at least BATCH_MIN_GENES genes, else one `score` call each.
-numpy is imported on the first batch, so a solve too small to batch never
-loads it.
+Each generation is scored and ranked in one step. Its distinct genomes
+not yet in the score memo are valued in one statement: one numpy batch
+(`batch.score_batch`, bit-identical to `valuation.score`) when they hold
+at least BATCH_MIN_GENES genes, else one `score` call each. numpy is
+imported on the first batch, so a solve too small to batch never loads
+it. Each member's key (violation, -value, genome) encodes the
+feasibility-first order: the generation's best is `min(keys)`, and the
+elites are the first sorted keys (equal keys hold equal genomes).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from .model import Chromosome, Instance, Schedule
 from .valuation import EvaluationBreakdown, Tables, _breakdown, build_tables, score
@@ -180,18 +183,22 @@ def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
     tables = build_tables(inst)
     n_p, N = tables.n_projects, tables.n_periods
     mut_rate = cfg.mutation_rate if cfg.mutation_rate is not None else (1.0 / n_p if n_p else 0.0)
+    seed_genome = greedy_seed(tables)
     # memoized (violation, value) per period tuple; evaluation is pure
     scores: dict[tuple[int, ...], tuple[float, float]] = {}
-    score_batch = None  # built on first use, so a solve that never batches never imports numpy
+
+    @cache  # built on the first batch, so a solve that never batches never imports numpy
+    def batch_scorer():
+        from . import batch
+        return partial(batch.score_batch, bt=batch.compile_tables(tables))
 
     best_key: tuple | None = None
     trace: list[TraceEntry] = []
     terminated_by = "max_generations"
-    gen_index = 0
 
     for restart in range(cfg.restarts):
         rng = random.Random(f"{cfg.seed}:{restart}")
-        population = [greedy_seed(tables)] + [
+        population = [seed_genome] + [
             _random_periods(n_p, N, rng) for _ in range(cfg.population_size - 1)
         ]
         restart_best_key: tuple | None = None
@@ -199,48 +206,39 @@ def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
         terminated_by = "max_generations"
 
         for _gen in range(cfg.max_generations):
-            new = [p for p in population if p not in scores]
-            if len(new) * n_p >= BATCH_MIN_GENES:
-                if score_batch is None:
-                    from . import batch
-
-                    score_batch = partial(batch.score_batch, bt=batch.compile_tables(tables))
-                scores.update(zip(new, score_batch(new)))
-            else:
-                for p in new:
-                    if p not in scores:  # a genome can occur twice in a population
-                        scores[p] = score(p, tables)
+            new = [p for p in dict.fromkeys(population) if p not in scores]
+            scores.update(
+                zip(new, batch_scorer()(new))
+                if len(new) * n_p >= BATCH_MIN_GENES
+                else ((p, score(p, tables)) for p in new)
+            )
             sc = [scores[p] for p in population]
             keys = [(v, -val, p) for p, (v, val) in zip(population, sc)]
 
-            improved = False
-            for key in keys:
-                if restart_best_key is None or key < restart_best_key:
-                    restart_best_key = key
-                    improved = True
-                if best_key is None or key < best_key:
-                    best_key = key
-            stagnant = 0 if improved else stagnant + 1
+            gen_best = min(keys)
+            if restart_best_key is None or gen_best < restart_best_key:
+                restart_best_key, stagnant = gen_best, 0
+            else:
+                stagnant += 1
+            best_key = gen_best if best_key is None else min(best_key, gen_best)
 
             feas_vals = [val for (v, val) in sc if v == 0.0]
             trace.append(
                 TraceEntry(
-                    generation=gen_index,
+                    generation=len(trace),
                     best_value=-best_key[1],
                     mean_feasible_value=sum(feas_vals) / len(feas_vals) if feas_vals else None,
                     feasible_count=len(feas_vals),
                     best_violation=best_key[0],
                 )
             )
-            gen_index += 1
 
             if stagnant >= cfg.stagnation_limit:
                 terminated_by = "stagnation"
                 break
 
             # elites carry over unchanged (monotone best within a restart)
-            elite_order = sorted(range(len(population)), key=lambda i: keys[i])
-            next_pop = [population[i] for i in elite_order[: cfg.elite_count]]
+            next_pop = [key[2] for key in sorted(keys)[: cfg.elite_count]]
             while len(next_pop) < cfg.population_size:
                 p1 = tournament_select(population, keys, cfg.tournament_size, rng)
                 p2 = tournament_select(population, keys, cfg.tournament_size, rng)

@@ -29,10 +29,13 @@ class InstanceFormatError(ValueError):
     """Raised when an instance document cannot be parsed into an Instance."""
 
 
-def _require(obj: dict, key: str, context: str):
-    if key not in obj:
-        raise InstanceFormatError(f"{context}: missing required key {key!r}")
-    return obj[key]
+def _require(obj, key: str, context: str):
+    try:
+        return obj[key]
+    except KeyError:
+        raise InstanceFormatError(f"{context}: missing required key {key!r}") from None
+    except TypeError:  # a number, string, array or null where an object belongs
+        raise InstanceFormatError(f"{context} must be an object, got {obj!r}") from None
 
 
 def _integer(value, context: str) -> int:
@@ -42,41 +45,72 @@ def _integer(value, context: str) -> int:
     return value
 
 
+def _number(value, context: str) -> float:
+    # float() would take a bool and parse a string
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceFormatError(f"{context} must be a number, got {value!r}")
+    return float(value)
+
+
+def _array(value, context: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise InstanceFormatError(f"{context} must be an array, got {value!r}")
+    return value
+
+
+def _numbers(value, context: str) -> tuple[float, ...]:
+    # the message is built only on failure: this runs on every table entry
+    for x in _array(value, context):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise InstanceFormatError(f"{context} entries must be numbers, got {x!r}")
+    return tuple(map(float, value))
+
+
 def instance_from_dict(doc: dict) -> Instance:
-    """Parse an instance document; unknown keys (e.g. comments) are ignored."""
+    """Parse an instance document; unknown keys (e.g. comments) are ignored.
+
+    A value of the wrong JSON type (a boolean or a string for a number, a
+    number for an array or an object) raises InstanceFormatError naming
+    the field.
+    """
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
     n_p = _integer(_require(doc, "n_p", "instance"), "n_p")
     n_periods = _integer(_require(doc, "N", "instance"), "N")
-    rate = float(doc.get("rate", 0.0))
-    budgets = tuple(float(b) for b in _require(doc, "budgets", "instance"))
-    q_min = tuple(_integer(q, "q_min entry") for q in _require(doc, "q_min", "instance"))
-    q_max = tuple(_integer(q, "q_max entry") for q in _require(doc, "q_max", "instance"))
+    rate = _number(doc.get("rate", 0.0), "rate")
+    budgets = _numbers(_require(doc, "budgets", "instance"), "budgets")
+    q_min = tuple(
+        _integer(q, "q_min entry") for q in _array(_require(doc, "q_min", "instance"), "q_min")
+    )
+    q_max = tuple(
+        _integer(q, "q_max entry") for q in _array(_require(doc, "q_max", "instance"), "q_max")
+    )
     mode = doc.get("total_dependency_mode", "hard")
 
     projects = []
-    for pd in _require(doc, "projects", "instance"):
+    for pd in _array(_require(doc, "projects", "instance"), "projects"):
         pid = _integer(_require(pd, "id", "project"), "project id")
         ctx = f"project {pid}"
         label = str(pd.get("label", f"P{pid}"))
         raw_cost = pd.get("raw_cost")
+        if raw_cost is not None:
+            raw_cost = _number(raw_cost, f"{ctx}: raw_cost")
         stream = pd.get("return_stream")
+        if stream is not None:
+            stream = _numbers(stream, f"{ctx}: return_stream")
         if "cost_pv" in pd:
-            cost_pv = tuple(float(c) for c in pd["cost_pv"])
+            cost_pv = _numbers(pd["cost_pv"], f"{ctx}: cost_pv")
         elif raw_cost is not None:
-            cost_pv = tuple(
-                cost_present_value(float(raw_cost), rate, k) for k in range(1, n_periods + 1)
-            )
+            cost_pv = tuple(cost_present_value(raw_cost, rate, k) for k in range(1, n_periods + 1))
         else:
             raise InstanceFormatError(f"{ctx}: needs cost_pv or raw_cost")
         if "return_pv" in pd:
-            return_pv = tuple(float(r) for r in pd["return_pv"])
+            return_pv = _numbers(pd["return_pv"], f"{ctx}: return_pv")
         elif stream is not None:
             if not stream:
                 raise InstanceFormatError(f"{ctx}: return_stream must be non-empty")
             return_pv = tuple(
-                return_present_value([float(r) for r in stream], rate, k)
-                for k in range(1, n_periods + 1)
+                return_present_value(list(stream), rate, k) for k in range(1, n_periods + 1)
             )
         else:
             raise InstanceFormatError(f"{ctx}: needs return_pv or return_stream")
@@ -86,8 +120,8 @@ def instance_from_dict(doc: dict) -> Instance:
                 label=label,
                 cost_pv=cost_pv,
                 return_pv=return_pv,
-                raw_cost=float(raw_cost) if raw_cost is not None else None,
-                return_stream=tuple(float(r) for r in stream) if stream is not None else None,
+                raw_cost=raw_cost,
+                return_stream=stream,
             )
         )
 
@@ -98,10 +132,10 @@ def instance_from_dict(doc: dict) -> Instance:
         DependencyEdge(
             predecessor=_integer(_require(ed, "predecessor", "edge"), "edge predecessor"),
             dependent=_integer(_require(ed, "dependent", "edge"), "edge dependent"),
-            level=float(_require(ed, "level", "edge")),
-            option_value=float(_require(ed, "option_value", "edge")),
+            level=_number(_require(ed, "level", "edge"), "edge level"),
+            option_value=_number(_require(ed, "option_value", "edge"), "edge option_value"),
         )
-        for ed in doc.get("edges", [])
+        for ed in _array(doc.get("edges", []), "edges")
     )
 
     return Instance(

@@ -2,18 +2,21 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import optfolio as of
+from optfolio import cli
 from optfolio.cli import main
 from optfolio.oracle import VALUE_RTOL
 from optfolio.serialization import (
+    InstanceFormatError,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -28,6 +31,17 @@ def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def _one_project(**project) -> dict:
+    return {
+        "n_p": 1,
+        "N": 2,
+        "budgets": [100, 100],
+        "q_min": [0, 0],
+        "q_max": [1, 1],
+        "projects": [{"id": 1, **project}],
+    }
 
 
 class TestInstanceDocument:
@@ -56,10 +70,28 @@ class TestInstanceDocument:
         assert inst.projects[0].cost_pv[0] == 110.0
         assert abs(inst.projects[0].cost_pv[1] - 100.0) < 1e-9
         assert abs(inst.projects[0].return_pv[0] - 100.0) < 1e-9
+        assert instance_from_dict(instance_to_dict(inst)) == inst
 
     def test_missing_keys_reported(self):
         with pytest.raises(ValueError, match="budgets"):
             instance_from_dict({"n_p": 1, "N": 1})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "instance document must be a JSON object"),
+            (_one_project(return_pv=[1.0, 1.0]), "project 1: needs cost_pv or raw_cost"),
+            (
+                _one_project(cost_pv=[1.0, 1.0], return_stream=[]),
+                "project 1: return_stream must be non-empty",
+            ),
+            (_one_project(cost_pv=[1.0, 1.0]), "project 1: needs return_pv or return_stream"),
+        ],
+        ids=["not-an-object", "no-cost", "empty-stream", "no-return"],
+    )
+    def test_refused_documents(self, doc, message):
+        with pytest.raises(InstanceFormatError, match=re.escape(message)):
+            instance_from_dict(doc)
 
     def test_comment_keys_ignored(self, paper_instance):
         doc = instance_to_dict(paper_instance)
@@ -264,9 +296,42 @@ def _set_float_project_count(doc):
     doc["n_p"] = 7.0
 
 
+def _put(*path, value):
+    """A corruption that sets the entry at path (keys and indices) to value."""
+
+    def corrupt(doc):
+        *parents, key = path
+        for step in parents:
+            doc = doc[step]
+        doc[key] = value
+
+    return corrupt
+
+
+# (field the refusal names, corruption): values of the wrong JSON type
+_WRONG_TYPES = {
+    "projects-entry-number": ("project", _put("projects", 0, value=5)),
+    "projects-entry-string": ("project", _put("projects", 0, value="id")),
+    "edges-entry-number": ("edge", _put("edges", 0, value=5)),
+    "edges-null": ("edges", _put("edges", value=None)),
+    "budgets-number": ("budgets", _put("budgets", value=5)),
+    "budgets-entry-array": ("budgets", _put("budgets", 0, value=[1])),
+    "budgets-strings": ("budgets", _put("budgets", value=["90", "125", "175"])),
+    "q_min-number": ("q_min", _put("q_min", value=2)),
+    "rate-string": ("rate", _put("rate", value="0")),
+    "cost_pv-number": ("cost_pv", _put("projects", 0, "cost_pv", value=5)),
+    "cost_pv-booleans": ("cost_pv", _put("projects", 0, "cost_pv", value=[True, True, True])),
+    "return_pv-string": ("return_pv", _put("projects", 0, "return_pv", 0, value="13")),
+    "raw_cost-boolean": ("raw_cost", _put("projects", 0, "raw_cost", value=True)),
+    "return_stream-string": ("return_stream", _put("projects", 0, "return_stream", value=["13"])),
+    "level-string": ("level", _put("edges", 0, "level", value="1.0")),
+    "option_value-boolean": ("option_value", _put("edges", 0, "option_value", value=True)),
+}
+
+
 class TestRefusedInput:
-    """Non-finite numbers, non-integer ids and non-integer counts exit 1
-    instead of being solved."""
+    """Non-finite numbers, non-integer ids, non-integer counts and values of
+    the wrong JSON type exit 1 instead of being solved."""
 
     @pytest.mark.parametrize(
         "command, corrupt",
@@ -281,6 +346,10 @@ class TestRefusedInput:
             ("exact", _set_boolean_q_min),
             ("exact", _set_fractional_period_count),
             ("exact", _set_float_project_count),
+            *(
+                pytest.param("exact", corrupt, id=f"exact-{name}")
+                for name, (_field, corrupt) in _WRONG_TYPES.items()
+            ),
         ],
     )
     def test_exits_one(self, tmp_path, paper_instance, command, corrupt):
@@ -292,6 +361,13 @@ class TestRefusedInput:
         code, out = run_cli(command, str(path))
         assert code == 1
         assert out == ""
+
+    @pytest.mark.parametrize("field, corrupt", _WRONG_TYPES.values(), ids=_WRONG_TYPES.keys())
+    def test_loader_names_the_field(self, paper_instance, field, corrupt):
+        doc = instance_to_dict(paper_instance)
+        corrupt(doc)
+        with pytest.raises(InstanceFormatError, match=field):
+            instance_from_dict(doc)
 
 
 def _count_calls(monkeypatch, home: str, name: str) -> list:
@@ -544,6 +620,29 @@ class TestSweep:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("x..2", "--qmin-range: expected a..b or a single integer, got 'x..2'"),
+         ("3..1", "--qmin-range: empty range '3..1'")],
+        ids=["malformed", "empty"],
+    )
+    def test_bad_range_exits_one(self, capsys, spec, message):
+        code, out = run_cli("sweep", FIXTURE, "--qmin-range", spec, "--qmax-range", "3..3")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("method", ["exact", "ga"])
+    def test_infeasible_cell(self, tmp_path, paper_instance, method):
+        # every project costs more than a budget of 1 in any period
+        path = tmp_path / "poor.json"
+        save_instance(replace(paper_instance, budgets=(1.0, 1.0, 1.0)), str(path))
+        code, out = run_cli(
+            "sweep", str(path), "--qmin-range", "2..2", "--qmax-range", "3..3",
+            "--method", method, "--generations", "3",
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "2,3,infeasible,,"
+
     def test_ga_method_runs(self):
         code, out = run_cli(
             "sweep", FIXTURE, "--qmin-range", "2..2", "--qmax-range", "3..3",
@@ -593,6 +692,70 @@ class TestGen:
         )
         assert code == 1
         assert not path.exists()
+
+
+class _Stop(Exception):
+    pass
+
+
+_EVERY_GA_FLAG = (
+    "--seed", "5", "--population", "7", "--generations", "9", "--mutation-rate", "0.25",
+    "--crossover-rate", "0.5", "--tournament", "4", "--elites", "3", "--restarts", "2",
+    "--stagnation", "6",
+)
+_EVERY_GA_FIELD = of.GaConfig(
+    seed=5, population_size=7, max_generations=9, mutation_rate=0.25, crossover_rate=0.5,
+    tournament_size=4, elite_count=3, restarts=2, stagnation_limit=6,
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("solve", FIXTURE),
+        ("sweep", FIXTURE, "--qmin-range", "2..2", "--qmax-range", "3..3", "--method", "ga"),
+    ],
+    ids=["solve", "sweep"],
+)
+@pytest.mark.parametrize(
+    "flags, cfg", [((), of.GaConfig()), (_EVERY_GA_FLAG, _EVERY_GA_FIELD)], ids=["unset", "every"]
+)
+def test_ga_flags_forward_to_gaconfig(monkeypatch, command, flags, cfg):
+    # every field differs from its default, so each flag is seen to arrive
+    assert all(getattr(_EVERY_GA_FIELD, f.name) != f.default for f in fields(of.GaConfig))
+    built = []
+
+    def record(inst, cfg):
+        built.append(cfg)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "run_ga", record)
+    with pytest.raises(_Stop):
+        main([*command, *flags], out=io.StringIO())
+    assert built == [cfg]
+
+
+@pytest.mark.parametrize(
+    "flags, kwargs",
+    [
+        ((), {}),
+        (
+            (
+                "--edge-density", "0.5", "--partial-fraction", "0.1",
+                "--budget-tightness", "0.9", "--seed", "4",
+            ),
+            dict(edge_density=0.5, partial_fraction=0.1, budget_tightness=0.9, seed=4),
+        ),
+    ],
+    ids=["unset", "every"],
+)
+def test_gen_flags_forward_to_generate_instance(tmp_path, flags, kwargs):
+    code, _ = run_cli(
+        "gen", "--projects", "9", "--periods", "3", *flags, "--out", str(tmp_path / "cli.json")
+    )
+    assert code == 0
+    save_instance(of.generate_instance(9, 3, **kwargs), str(tmp_path / "lib.json"))
+    assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
 
 
 def test_solve_value_never_exceeds_exact(tmp_path):

@@ -100,6 +100,15 @@ class TestChromosomeCodec:
         assert Chromosome.from_text(chrom.to_text()) == chrom
 
 
+_PAPER = of.load_paper_fixture()
+
+
+def _first_project(**change) -> dict:
+    from dataclasses import replace
+
+    return dict(projects=(replace(_PAPER.projects[0], **change),) + _PAPER.projects[1:])
+
+
 class TestValidateInstance:
     def test_paper_fixture_is_valid(self, paper_instance):
         assert of.validate_instance(paper_instance) == []
@@ -206,6 +215,44 @@ class TestValidateInstance:
         else:
             bad = replace(inst, edges=(replace(e0, **{field: bad_number}),) + inst.edges[1:])
         assert any(field in m for m in of.validate_instance(bad))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(n_projects=-1), "n_p must be >= 0, got -1"),
+            (dict(n_periods=0), "N must be >= 1, got 0"),
+            (dict(projects=_PAPER.projects[:6]), "projects list has 6 entries, expected n_p (7)"),
+            (dict(budgets=(90.0, 125.0)), "budgets has 2 entries, expected N (3)"),
+            (dict(q_min=(2, 2)), "q_min has 2 entries, expected N (3)"),
+            (dict(q_max=(3, 3)), "q_max has 2 entries, expected N (3)"),
+            (
+                _first_project(cost_pv=(15.0, 15.0)),
+                "project 1: cost_pv has 2 entries, expected N (3)",
+            ),
+            (
+                _first_project(return_pv=(13.0,)),
+                "project 1: return_pv has 1 entries, expected N (3)",
+            ),
+            (
+                dict(total_dependency_mode="loose"),
+                "total_dependency_mode must be one of ('hard', 'soft')",
+            ),
+            (dict(budgets=(90.0, 0.0, 175.0)), "budgets[2] must be > 0, got 0.0"),
+            (
+                _first_project(cost_pv=(15.0, -1.0, 15.0)),
+                "project 1: cost_pv[2] must be > 0, got -1.0",
+            ),
+            (_first_project(id=9), "project ids must be exactly 1..7, got [2, 3, 4, 5, 6, 7, 9]"),
+        ],
+        ids=[
+            "n_p", "N", "projects-length", "budgets-length", "q_min-length", "q_max-length",
+            "cost_pv-length", "return_pv-length", "mode", "budget", "cost", "ids",
+        ],
+    )
+    def test_each_invariant_is_reported(self, paper_instance, change, message):
+        from dataclasses import replace
+
+        assert message in of.validate_instance(replace(paper_instance, **change))
 
     def test_negative_rate_with_raw_cost_is_reported(self, paper_instance):
         from dataclasses import replace
