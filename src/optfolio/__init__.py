@@ -24,19 +24,15 @@ from .model import (
     return_present_value,
     validate_instance,
 )
-from .oracle import OracleResult, SearchSpaceCapExceeded, count_feasible, enumerate_optimal
+from .oracle import OracleResult, SearchSpaceCapExceeded, enumerate_optimal
 from .serialization import instance_from_dict, instance_to_dict, load_instance, save_instance
 from .valuation import (
     EvaluationBreakdown,
     InvalidInstanceError,
     Tables,
     build_tables,
-    check_feasibility,
-    compare_candidates,
-    dcf_value,
+    candidate_key,
     evaluate,
-    option_accrual,
-    partial_benefit_factor,
 )
 
 __version__ = "0.1.0"
@@ -66,11 +62,8 @@ __all__ = [
     "SolveResult",
     "Tables",
     "build_tables",
-    "check_feasibility",
-    "compare_candidates",
+    "candidate_key",
     "cost_present_value",
-    "count_feasible",
-    "dcf_value",
     "decode_chromosome",
     "encode_schedule",
     "enumerate_optimal",
@@ -80,9 +73,7 @@ __all__ = [
     "instance_to_dict",
     "load_instance",
     "load_paper_fixture",
-    "option_accrual",
     "paper_fixture_path",
-    "partial_benefit_factor",
     "return_present_value",
     "run_ga",
     "save_instance",

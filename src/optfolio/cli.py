@@ -7,13 +7,16 @@ Subcommands:
   sweep     re-solve over a grid of cardinality bounds, CSV on stdout
   gen       write a random valid instance file
 
-Exit codes: 0 success with a feasible result, 1 input/usage error,
-2 infeasible result, 3 enumeration cap exceeded (N^n_p over --cap, or more
-projects than the exact search can recurse through).
+Exit codes: 0 success, 1 input/usage error, 2 infeasible result from
+solve or exact, 3 enumeration cap exceeded (N^n_p over --cap, or more
+projects than the exact search can recurse through). evaluate and sweep
+exit 0 whenever they print a result: the breakdown or the row reports an
+infeasible schedule or cell.
 
 Defaults live only in the library: each GA and gen flag stores under the
 GaConfig field or generate_instance parameter it sets, and only the flags
-given are forwarded, as keyword arguments.
+given are forwarded, as keyword arguments. `sweep --method exact` refuses
+GA flags rather than ignore them.
 """
 
 from __future__ import annotations
@@ -47,17 +50,24 @@ EXIT_INFEASIBLE = 2
 EXIT_CAP_EXCEEDED = 3
 
 
+# each GA flag, the GaConfig field it sets and its type
+_GA_FLAGS = (
+    ("--seed", "seed", int),
+    ("--population", "population_size", int),
+    ("--generations", "max_generations", int),
+    ("--mutation-rate", "mutation_rate", float),
+    ("--crossover-rate", "crossover_rate", float),
+    ("--tournament", "tournament_size", int),
+    ("--elites", "elite_count", int),
+    ("--restarts", "restarts", int),
+    ("--stagnation", "stagnation_limit", int),
+)
+
+
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     # dest is the GaConfig field; metavar keeps the flag's own name in --help
-    p.add_argument("--seed", type=int)
-    p.add_argument("--population", type=int, dest="population_size", metavar="POPULATION")
-    p.add_argument("--generations", type=int, dest="max_generations", metavar="GENERATIONS")
-    p.add_argument("--mutation-rate", type=float)
-    p.add_argument("--crossover-rate", type=float)
-    p.add_argument("--tournament", type=int, dest="tournament_size", metavar="TOURNAMENT")
-    p.add_argument("--elites", type=int, dest="elite_count", metavar="ELITES")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--stagnation", type=int, dest="stagnation_limit", metavar="STAGNATION")
+    for flag, dest, kind in _GA_FLAGS:
+        p.add_argument(flag, type=kind, dest=dest, metavar=flag[2:].replace("-", "_").upper())
 
 
 def _given(args: argparse.Namespace, target) -> dict:
@@ -113,6 +123,12 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     build_tables(inst)
     qmins = _parse_range(args.qmin_range, "--qmin-range")
     qmaxs = _parse_range(args.qmax_range, "--qmax-range")
+    # every usage error is raised before the header is written
+    ga_fields = _given(args, GaConfig)
+    if args.method == "exact" and ga_fields:
+        flags = ", ".join(flag for flag, dest, _kind in _GA_FLAGS if dest in ga_fields)
+        raise ValueError(f"--method exact takes no GA flags, got {flags}")
+    cfg = GaConfig(**ga_fields) if args.method == "ga" else None
     out.write("q_min,q_max,status,value,schedule\n")
     for qmin in qmins:
         for qmax in qmaxs:
@@ -126,7 +142,7 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
                 if args.method == "exact":
                     res = enumerate_optimal(cell, cap=args.cap)
                 else:
-                    res = run_ga(cell, GaConfig(**_given(args, GaConfig)))
+                    res = run_ga(cell, cfg)
             except InvalidInstanceError:
                 out.write(f"{qmin},{qmax},skipped,,\n")
                 continue

@@ -13,9 +13,10 @@ not yet in the score memo are valued in one statement: one numpy batch
 (`batch.score_batch`, bit-identical to `valuation.score`) when they hold
 at least BATCH_MIN_GENES genes, else one `score` call each. numpy is
 imported on the first batch, so a solve too small to batch never loads
-it. Each member's key (violation, -value, genome) encodes the
-feasibility-first order: the generation's best is `min(keys)`, and the
-elites are the first sorted keys (equal keys hold equal genomes).
+it. Each member's `candidate_key` (violation, -value, genome) encodes the
+feasibility-first order: the generation's best is `min(keys)`, the
+elites are the first sorted keys (equal keys hold equal genomes), and a
+tournament returns the genome of its least key.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 from .model import Chromosome, Instance, Schedule
-from .valuation import EvaluationBreakdown, Tables, _breakdown, build_tables, score
+from .valuation import EvaluationBreakdown, Tables, _breakdown, build_tables, candidate_key, score
 
 # A generation's new genomes are scored in one numpy batch when they hold at
 # least this many genes (genomes x n_p), else one by one with `score`. A
@@ -131,21 +132,16 @@ def mutate(
     return tuple(out)
 
 
-def tournament_select(
-    population: list,
-    keys: list[tuple],
-    k: int,
-    rng: random.Random,
-):
-    """Draw k individuals with replacement, return the feasibility-first best."""
-    if not population:
+def tournament_select(keys: list[tuple], k: int, rng: random.Random) -> tuple[int, ...]:
+    """Draw k candidate keys with replacement, return the genome of the least."""
+    if not keys:
         raise ValueError("population must be non-empty")
-    best_i = rng.randrange(len(population))
+    best_i = rng.randrange(len(keys))
     for _ in range(k - 1):
-        i = rng.randrange(len(population))
+        i = rng.randrange(len(keys))
         if keys[i] < keys[best_i]:
             best_i = i
-    return population[best_i]
+    return keys[best_i][2]
 
 
 def greedy_seed(t: Tables) -> tuple[int, ...]:
@@ -212,8 +208,7 @@ def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
                 if len(new) * n_p >= BATCH_MIN_GENES
                 else ((p, score(p, tables)) for p in new)
             )
-            sc = [scores[p] for p in population]
-            keys = [(v, -val, p) for p, (v, val) in zip(population, sc)]
+            keys = [candidate_key(p, scores[p]) for p in population]
 
             gen_best = min(keys)
             if restart_best_key is None or gen_best < restart_best_key:
@@ -222,7 +217,7 @@ def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
                 stagnant += 1
             best_key = gen_best if best_key is None else min(best_key, gen_best)
 
-            feas_vals = [val for (v, val) in sc if v == 0.0]
+            feas_vals = [-key[1] for key in keys if key[0] == 0.0]
             trace.append(
                 TraceEntry(
                     generation=len(trace),
@@ -240,8 +235,8 @@ def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
             # elites carry over unchanged (monotone best within a restart)
             next_pop = [key[2] for key in sorted(keys)[: cfg.elite_count]]
             while len(next_pop) < cfg.population_size:
-                p1 = tournament_select(population, keys, cfg.tournament_size, rng)
-                p2 = tournament_select(population, keys, cfg.tournament_size, rng)
+                p1 = tournament_select(keys, cfg.tournament_size, rng)
+                p2 = tournament_select(keys, cfg.tournament_size, rng)
                 c1, c2 = crossover(p1, p2, cfg.crossover_rate, rng)
                 next_pop.append(mutate(c1, mut_rate, N, rng))
                 if len(next_pop) < cfg.population_size:

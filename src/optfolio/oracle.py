@@ -187,8 +187,3 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
         best_breakdown=_breakdown(best_per, tables),
         feasible_count=feasible_count,
     )
-
-
-def count_feasible(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> int:
-    """Exact number of schedules with zero violations."""
-    return enumerate_optimal(inst, cap=cap).feasible_count

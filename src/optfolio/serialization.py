@@ -70,8 +70,8 @@ def instance_from_dict(doc: dict) -> Instance:
     """Parse an instance document; unknown keys (e.g. comments) are ignored.
 
     A value of the wrong JSON type (a boolean or a string for a number, a
-    number for an array or an object) raises InstanceFormatError naming
-    the field.
+    number for an array or an object, anything but a string for a label)
+    raises InstanceFormatError naming the field.
     """
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
@@ -91,7 +91,9 @@ def instance_from_dict(doc: dict) -> Instance:
     for pd in _array(_require(doc, "projects", "instance"), "projects"):
         pid = _integer(_require(pd, "id", "project"), "project id")
         ctx = f"project {pid}"
-        label = str(pd.get("label", f"P{pid}"))
+        label = pd.get("label", f"P{pid}")
+        if not isinstance(label, str):
+            raise InstanceFormatError(f"{ctx}: label must be a string, got {label!r}")
         raw_cost = pd.get("raw_cost")
         if raw_cost is not None:
             raw_cost = _number(raw_cost, f"{ctx}: raw_cost")
@@ -147,7 +149,7 @@ def instance_from_dict(doc: dict) -> Instance:
         q_min=q_min,
         q_max=q_max,
         rate=rate,
-        total_dependency_mode=str(mode),
+        total_dependency_mode=mode,
     )
 
 
@@ -230,7 +232,7 @@ def _schedule_doc(s: Schedule, n_periods: int) -> dict:
 
 def solve_result_to_dict(res: SolveResult) -> dict:
     doc = {"method": "ga"}
-    doc.update(_schedule_doc(res.best_schedule, res.best_breakdown.instance.n_periods))
+    doc.update(_schedule_doc(res.best_schedule, len(res.best_breakdown.count_per_period)))
     doc.update(
         {
             "value": res.best_breakdown.total_value,
@@ -246,7 +248,7 @@ def solve_result_to_dict(res: SolveResult) -> dict:
 def oracle_result_to_dict(res: OracleResult) -> dict:
     doc = {"method": "exact", "feasible_count": res.feasible_count}
     if res.best_schedule is not None:
-        doc.update(_schedule_doc(res.best_schedule, res.best_breakdown.instance.n_periods))
+        doc.update(_schedule_doc(res.best_schedule, len(res.best_breakdown.count_per_period)))
         doc["value"] = res.best_breakdown.total_value
         doc["feasible"] = True
         doc["breakdown"] = breakdown_to_dict(res.best_breakdown)

@@ -8,24 +8,21 @@ and, in hard mode, total-dependency precedence.
 
 `build_tables` is the one gate: it refuses an instance that
 `validate_instance` faults and compiles a valid one into `Tables`, and
-passes `Tables` through unchanged. Every entry point (`evaluate` and its
-views, the GA and the oracle) takes an `Instance` or its `Tables` and
-starts with `build_tables`, so a caller that values or solves one
-instance many times compiles it once and passes the `Tables` on.
-`score` is the hot-path kernel the solvers call on plain period tuples;
-`evaluate`, and each solver for the schedule it returns, report the same
-accounting in full. All run `_account`, so they agree exactly.
+passes `Tables` through unchanged. Every entry point (`evaluate`, the GA
+and the oracle) takes an `Instance` or its `Tables` and starts with
+`build_tables`, so a caller that values or solves one instance many
+times compiles it once and passes the `Tables` on. `score` is the
+hot-path kernel the solvers call on plain period tuples; `evaluate`, and
+each solver for the schedule it returns, report the same accounting in
+full. All run `_account`, so they agree exactly. `candidate_key` ranks
+scored period tuples feasibility-first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import Instance, Schedule, validate_instance
-
-# Partial-dependency reduction and option accrual both key off strict
-# precedence: funding in the same period counts as "together with" the
-# predecessor, so it neither reduces benefit nor accrues the option.
 
 
 class InvalidInstanceError(ValueError):
@@ -34,22 +31,33 @@ class InvalidInstanceError(ValueError):
 
 @dataclass(frozen=True)
 class EvaluationBreakdown:
-    """Full per-project and per-period accounting for one schedule."""
+    """Full per-project and per-period accounting for one schedule.
 
+    Per-project tuples hold project j at index j - 1, per-period tuples
+    period k at index k - 1.
+    """
+
+    # return PV after the partial factor, minus cost PV, in the funded period
     dcf_values: tuple[float, ...]
+    # product of (1 - level) over incoming partial edges whose predecessor is
+    # funded strictly later; same-period funding keeps full benefit. In soft
+    # mode total edges join the product, so a dependent funded ahead of its
+    # total predecessor gets factor 0
     partial_factors: tuple[float, ...]
+    # option values of outgoing edges whose dependent is funded strictly
+    # later; same-period funding accrues nothing
     option_accrued: tuple[float, ...]
-    effective_returns: tuple[float, ...]
-    total_value: float
+    effective_returns: tuple[float, ...]  # return PV in the funded period x partial factor
+    total_value: float  # DCF values plus accrued options
     total_cost_per_period: tuple[float, ...]
     count_per_period: tuple[int, ...]
     budget_excess: tuple[float, ...]
     cardinality_shortfall: tuple[int, ...]
     cardinality_excess: tuple[int, ...]
+    # hard mode: total edges whose dependent is funded before its predecessor
     precedence_violations: tuple[tuple[int, int], ...]  # (predecessor, dependent)
     feasible: bool
-    violation_score: float
-    instance: Instance = field(repr=False)
+    violation_score: float  # 0 exactly when feasible
 
 
 @dataclass(frozen=True)
@@ -57,11 +65,10 @@ class Tables:
     """A validated instance compiled into index-based views for tight loops.
 
     Obtain one only from `build_tables`, once per instance, and pass it to
-    `evaluate` and its views, `run_ga`, `enumerate_optimal` or
-    `count_feasible` in place of the instance. It is never validated again,
-    so a hand-built `Tables` would skip the gate. Project i (0-based) is
-    the project with id i + 1; build_tables refuses an instance whose
-    projects are not listed in that order.
+    `evaluate`, `run_ga` or `enumerate_optimal` in place of the instance.
+    It is never validated again, so a hand-built `Tables` would skip the
+    gate. Project i (0-based) is the project with id i + 1; build_tables
+    refuses an instance whose projects are not listed in that order.
     """
 
     n_projects: int
@@ -78,7 +85,6 @@ class Tables:
     q_min: tuple[int, ...]
     q_max: tuple[int, ...]
     budget_total: float
-    instance: Instance = field(repr=False)
 
 
 def build_tables(inst: Instance | Tables) -> Tables:
@@ -119,7 +125,6 @@ def build_tables(inst: Instance | Tables) -> Tables:
         q_min=inst.q_min,
         q_max=inst.q_max,
         budget_total=budget_total,
-        instance=inst,
     )
 
 
@@ -246,60 +251,15 @@ def _breakdown(per: tuple[int, ...], t: Tables) -> EvaluationBreakdown:
         precedence_violations=tuple((pi + 1, di + 1) for pi, di in prec),
         feasible=budget == 0.0 and card == 0 and not prec,
         violation_score=_violation(budget, card, len(prec), t),
-        instance=t.instance,
     )
 
 
-def check_feasibility(s: Schedule, inst: Instance | Tables) -> dict:
-    """Violation quantities for budgets, cardinality and hard precedence."""
-    b = evaluate(s, inst)
-    return {
-        "total_cost_per_period": b.total_cost_per_period,
-        "count_per_period": b.count_per_period,
-        "budget_excess": b.budget_excess,
-        "cardinality_shortfall": b.cardinality_shortfall,
-        "cardinality_excess": b.cardinality_excess,
-        "precedence_violations": b.precedence_violations,
-        "feasible": b.feasible,
-    }
+def candidate_key(periods: tuple[int, ...], scored: tuple[float, float]) -> tuple:
+    """Feasibility-first sort key of a period tuple and its `score`; smaller is better.
 
-
-def partial_benefit_factor(project_id: int, s: Schedule, inst: Instance | Tables) -> float:
-    """Benefit multiplier for a project given unmet incoming dependencies.
-
-    Each incoming partial edge whose predecessor is funded strictly later
-    contributes a factor (1 - level); same-period funding keeps full
-    benefit. In soft mode, total edges join the product (factor 0 when
-    the dependent jumps ahead of its predecessor).
+    Lower violation wins; among equals higher value wins; among equals the
+    lexicographically smaller period tuple wins. Keys order the schedules
+    of one instance only.
     """
-    return evaluate(s, inst).partial_factors[project_id - 1]
-
-
-def dcf_value(project_id: int, s: Schedule, inst: Instance | Tables) -> float:
-    """Return PV (after benefit reduction) minus cost PV for the funded period."""
-    return evaluate(s, inst).dcf_values[project_id - 1]
-
-
-def option_accrual(project_id: int, s: Schedule, inst: Instance | Tables) -> float:
-    """Option value the project earns from dependents funded strictly later."""
-    return evaluate(s, inst).option_accrued[project_id - 1]
-
-
-def candidate_key(s: Schedule, b: EvaluationBreakdown) -> tuple:
-    """Sort key realizing feasibility-first order; smaller is better."""
-    return (b.violation_score, -b.total_value, s.period_of)
-
-
-def compare_candidates(
-    a: tuple[Schedule, EvaluationBreakdown],
-    b: tuple[Schedule, EvaluationBreakdown],
-) -> int:
-    """Feasibility-first comparison: -1 if a is better, 1 if b is, 0 on ties.
-
-    Lower total violation wins; among equals higher value wins; among
-    equals the lexicographically smaller period vector wins.
-    """
-    if a[1].instance != b[1].instance:
-        raise ValueError("cannot compare breakdowns from different instances")
-    ka, kb = candidate_key(*a), candidate_key(*b)
-    return -1 if ka < kb else (1 if ka > kb else 0)
+    violation, value = scored
+    return (violation, -value, periods)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import optfolio as of
 from optfolio.ga import greedy_seed, mutate, crossover, tournament_select, repair
 from optfolio.model import Chromosome
-from optfolio.valuation import candidate_key, evaluate
+from optfolio.valuation import build_tables, candidate_key, score
 
 
 class TestRepair:
@@ -101,8 +101,9 @@ class TestMutate:
 
 class TestTournamentSelect:
     def _pop_with_keys(self, inst, periods_list):
-        pop = [of.Schedule(period_of=p) for p in periods_list]
-        keys = [candidate_key(s, evaluate(s, inst)) for s in pop]
+        t = build_tables(inst)
+        pop = list(periods_list)
+        keys = [candidate_key(p, score(p, t)) for p in pop]
         return pop, keys
 
     def test_full_tournament_returns_global_best(self, paper_instance):
@@ -112,7 +113,7 @@ class TestTournamentSelect:
         rng = random.Random(0)
         best = min(zip(keys, pop))[1]
         # k = population size: global best is reachable and frequent
-        seen = {tournament_select(pop, keys, len(pop), rng) for _ in range(100)}
+        seen = {tournament_select(keys, len(pop), rng) for _ in range(100)}
         assert best in seen
 
     def test_feasible_always_beats_infeasible(self, paper_instance):
@@ -130,7 +131,7 @@ class TestTournamentSelect:
 
         rng = BothDrawn()
         for _ in range(100):
-            assert tournament_select(pop, keys, 2, rng).period_of == (1, 2, 1, 2, 2, 3, 3)
+            assert tournament_select(keys, 2, rng) == (1, 2, 1, 2, 2, 3, 3)
 
     def test_selection_pressure_exceeds_uniform(self, paper_instance):
         rng = random.Random(3)
@@ -138,13 +139,13 @@ class TestTournamentSelect:
         pop, keys = self._pop_with_keys(paper_instance, periods)
         best = min(zip(keys, pop))[1]
         draws = Counter(
-            tournament_select(pop, keys, 3, rng).period_of for _ in range(10_000)
+            tournament_select(keys, 3, rng) for _ in range(10_000)
         )
-        assert draws[best.period_of] / 10_000 > 1 / len(pop)
+        assert draws[best] / 10_000 > 1 / len(pop)
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            tournament_select([], [], 3, random.Random(0))
+            tournament_select([], 3, random.Random(0))
 
 
 class TestGaConfig:

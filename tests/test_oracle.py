@@ -207,11 +207,11 @@ class TestCountFeasible:
             q_min=(0, 0),
             q_max=(2, 2),
         )
-        assert of.count_feasible(inst) == 4
+        assert of.enumerate_optimal(inst).feasible_count == 4
 
     def test_paper_fixture_regression_value(self, paper_instance):
         # pinned at first computation: exactly two feasible schedules
-        assert of.count_feasible(paper_instance) == 2
+        assert of.enumerate_optimal(paper_instance).feasible_count == 2
 
 
 class TestOracleProperties:

@@ -1,0 +1,42 @@
+import re
+from pathlib import Path
+
+import pytest
+
+import optfolio as of
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+_PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert _PYTHON_BLOCKS
+
+
+@pytest.mark.parametrize("i", range(len(_PYTHON_BLOCKS)))
+def test_readme_python_block_runs(i):
+    code = _PYTHON_BLOCKS[i]
+    exec(compile(code, str(README), "exec"), {})
+
+
+def test_every_exported_name_resolves():
+    assert len(set(of.__all__)) == len(of.__all__)
+    for name in of.__all__:
+        assert getattr(of, name) is not None
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "check_feasibility",
+        "partial_benefit_factor",
+        "dcf_value",
+        "option_accrual",
+        "compare_candidates",
+        "count_feasible",
+    ],
+)
+def test_one_field_views_are_not_exported(name):
+    # each read one field of `evaluate` or `enumerate_optimal`, which remain
+    assert name not in of.__all__
+    assert not hasattr(of, name)

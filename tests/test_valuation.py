@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import optfolio as of
-from optfolio.valuation import build_tables, candidate_key, dcf_term, option_term, score
+from optfolio.valuation import build_tables, dcf_term, option_term, score
 
 
 def make_instance(costs, returns, edges, budgets, q_min, q_max, mode="hard"):
@@ -50,11 +50,11 @@ def test_every_entry_point_refuses_an_invalid_instance(paper_instance, entry):
 class TestPartialBenefitFactor:
     def test_same_period_keeps_full_benefit(self, paper_instance):
         s = of.Schedule(period_of=(1, 2, 1, 2, 2, 3, 3))
-        assert of.partial_benefit_factor(3, s, paper_instance) == 1.0
+        assert of.evaluate(s, paper_instance).partial_factors[3 - 1] == 1.0
 
     def test_dependent_before_predecessor_reduces(self, paper_instance):
         s = of.Schedule(period_of=(2, 2, 1, 3, 2, 3, 3))
-        assert of.partial_benefit_factor(3, s, paper_instance) == 0.75
+        assert of.evaluate(s, paper_instance).partial_factors[3 - 1] == 0.75
 
     def test_two_unmet_partials_compose_multiplicatively(self):
         inst = make_instance(
@@ -66,67 +66,66 @@ class TestPartialBenefitFactor:
             q_max=[3, 3],
         )
         s = of.Schedule(period_of=(2, 2, 1))
-        assert math.isclose(of.partial_benefit_factor(3, s, inst), 0.375, abs_tol=1e-12)
+        assert math.isclose(of.evaluate(s, inst).partial_factors[3 - 1], 0.375, abs_tol=1e-12)
 
     def test_no_incoming_partials_gives_one(self, paper_instance):
         s = of.Schedule(period_of=(3, 3, 3, 1, 1, 1, 2))
-        assert of.partial_benefit_factor(7, s, paper_instance) == 1.0
+        assert of.evaluate(s, paper_instance).partial_factors[7 - 1] == 1.0
 
     def test_soft_mode_total_edge_annihilates(self, paper_instance):
         soft = replace(paper_instance, total_dependency_mode="soft")
         # dependent 2 jumps ahead of its total predecessor 1
         s = of.Schedule(period_of=(2, 1, 2, 3, 2, 3, 3))
-        assert of.partial_benefit_factor(2, s, soft) == 0.0
         b = of.evaluate(s, soft)
+        assert b.partial_factors[2 - 1] == 0.0
         assert b.effective_returns[1] == 0.0
 
 
 class TestDcfValue:
     def test_negative_dcf_project(self, paper_instance, paper_optimum):
-        assert of.dcf_value(1, paper_optimum, paper_instance) == -2
+        assert of.evaluate(paper_optimum, paper_instance).dcf_values[1 - 1] == -2
 
     def test_high_value_project(self, paper_instance, paper_optimum):
-        assert of.dcf_value(6, paper_optimum, paper_instance) == 100
+        assert of.evaluate(paper_optimum, paper_instance).dcf_values[6 - 1] == 100
 
     def test_reduced_benefit(self, paper_instance):
         s = of.Schedule(period_of=(2, 2, 1, 3, 2, 3, 3))
-        assert math.isclose(of.dcf_value(3, s, paper_instance), -21.25, abs_tol=1e-12)
+        assert math.isclose(of.evaluate(s, paper_instance).dcf_values[3 - 1], -21.25, abs_tol=1e-12)
 
 
 class TestOptionAccrual:
     def test_strict_precedence_accrues(self, paper_instance, paper_optimum):
         # 1 -> 2 accrues (1 < 2); 1 -> 3 does not (same period)
-        assert of.option_accrual(1, paper_optimum, paper_instance) == 10
+        assert of.evaluate(paper_optimum, paper_instance).option_accrued[1 - 1] == 10
 
     def test_same_period_accrues_nothing(self, paper_instance, paper_optimum):
         # 2 -> 4 with both in period 2
-        assert of.option_accrual(2, paper_optimum, paper_instance) == 0
+        assert of.evaluate(paper_optimum, paper_instance).option_accrued[2 - 1] == 0
 
     def test_sum_over_outgoing_edges(self, paper_instance, paper_optimum):
         # 3 -> 4 (1 < 2) and 3 -> 6 (1 < 3)
-        assert of.option_accrual(3, paper_optimum, paper_instance) == 20
+        assert of.evaluate(paper_optimum, paper_instance).option_accrued[3 - 1] == 20
 
 
 class TestCheckFeasibility:
     def test_paper_optimum_feasible(self, paper_instance, paper_optimum):
-        feas = of.check_feasibility(paper_optimum, paper_instance)
-        assert feas["total_cost_per_period"] == (85, 105, 175)
-        assert feas["count_per_period"] == (2, 3, 2)
-        assert feas["budget_excess"] == (0, 0, 0)
-        assert feas["feasible"]
+        b = of.evaluate(paper_optimum, paper_instance)
+        assert b.total_cost_per_period == (85, 105, 175)
+        assert b.count_per_period == (2, 3, 2)
+        assert b.budget_excess == (0, 0, 0)
+        assert b.feasible
 
     def test_everything_in_period_one(self, paper_instance):
         s = of.Schedule(period_of=(1,) * 7)
-        feas = of.check_feasibility(s, paper_instance)
-        assert feas["budget_excess"][0] == 365 - 90
-        assert feas["cardinality_excess"][0] == 4
-        assert feas["cardinality_shortfall"][1:] == (2, 2)
-        assert not feas["feasible"]
+        b = of.evaluate(s, paper_instance)
+        assert b.budget_excess[0] == 365 - 90
+        assert b.cardinality_excess[0] == 4
+        assert b.cardinality_shortfall[1:] == (2, 2)
+        assert not b.feasible
 
     def test_hard_mode_lists_precedence_violations(self, paper_instance):
         s = of.Schedule(period_of=(2, 1, 2, 3, 2, 3, 3))  # 2 before its predecessor 1
-        feas = of.check_feasibility(s, paper_instance)
-        assert (1, 2) in feas["precedence_violations"]
+        assert (1, 2) in of.evaluate(s, paper_instance).precedence_violations
 
     def test_empty_instance_is_feasible(self):
         inst = of.Instance(
@@ -134,8 +133,7 @@ class TestCheckFeasibility:
             budgets=(1.0,), q_min=(0,), q_max=(0,),
         )
         assert of.validate_instance(inst) == []
-        feas = of.check_feasibility(of.Schedule(period_of=()), inst)
-        assert feas["feasible"]
+        assert of.evaluate(of.Schedule(period_of=()), inst).feasible
 
 
 class TestEvaluate:
@@ -250,47 +248,44 @@ class TestEvaluate:
 
 class TestCompareCandidates:
     def _cand(self, inst, periods):
-        s = of.Schedule(period_of=periods)
-        return (s, of.evaluate(s, inst))
+        return of.candidate_key(periods, score(periods, build_tables(inst)))
 
     def test_feasible_beats_infeasible(self, paper_instance):
         good = self._cand(paper_instance, (1, 2, 1, 2, 2, 3, 3))
         bad = self._cand(paper_instance, (1,) * 7)  # hugely over budget
-        assert of.compare_candidates(good, bad) == -1
-        assert of.compare_candidates(bad, good) == 1
+        assert good < bad
+        assert bad > good
 
     def test_higher_value_wins_among_feasible(self, paper_instance):
         a = self._cand(paper_instance, (1, 2, 1, 2, 2, 3, 3))  # 203
         b = self._cand(paper_instance, (2, 2, 1, 2, 1, 3, 3))  # 176.75
-        assert a[1].total_value == 203
-        assert b[1].total_value == 176.75
-        assert of.compare_candidates(a, b) == -1
+        assert -a[1] == 203
+        assert -b[1] == 176.75
+        assert a < b
 
     def test_lexicographic_tie_break(self):
         inst = make_instance([10, 10], [30, 30], [], budgets=[100, 100], q_min=[0, 0], q_max=[2, 2])
         a = self._cand(inst, (1, 2))
         b = self._cand(inst, (2, 1))
-        assert a[1].total_value == b[1].total_value
-        assert of.compare_candidates(a, b) == -1
-        assert of.compare_candidates(a, a) == 0
+        assert a[1] == b[1]
+        assert a < b
+        assert a == self._cand(inst, (1, 2))
 
-    def test_rejects_different_instances(self, paper_instance):
-        other = make_instance([10], [30], [], budgets=[100], q_min=[0], q_max=[1])
-        a = self._cand(paper_instance, (1, 2, 1, 2, 2, 3, 3))
-        b = self._cand(other, (1,))
-        with pytest.raises(ValueError):
-            of.compare_candidates(a, b)
+    def test_key_of_an_evaluated_schedule(self, paper_instance):
+        s = of.Schedule(period_of=(2, 2, 1, 2, 1, 3, 3))
+        b = of.evaluate(s, paper_instance)
+        assert self._cand(paper_instance, s.period_of) == (
+            b.violation_score, -b.total_value, s.period_of
+        )
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=30)
     def test_total_order_on_random_triples(self, rng):
         inst = of.load_paper_fixture()
-        cands = [self._cand(inst, tuple(rng.randrange(1, 4) for _ in range(7))) for _ in range(3)]
-        a, b, c = cands
+        a, b, c = (self._cand(inst, tuple(rng.randrange(1, 4) for _ in range(7))) for _ in range(3))
         # antisymmetry
-        assert of.compare_candidates(a, b) == -of.compare_candidates(b, a)
-        # transitivity via the underlying key
-        keys = sorted(candidate_key(s, br) for s, br in cands)
-        assert keys[0] <= keys[1] <= keys[2]
-        if of.compare_candidates(a, b) <= 0 and of.compare_candidates(b, c) <= 0:
-            assert of.compare_candidates(a, c) <= 0
+        assert (a < b) == (b > a)
+        # keys are distinct unless their schedules are equal
+        assert (a == b) == (a[2] == b[2])
+        if a <= b and b <= c:
+            assert a <= c
