@@ -6,6 +6,7 @@ prints the optimal funding plan, per-period costs, and the value breakdown.
 """
 
 import optfolio as of
+from optfolio.serialization import bit_rows
 
 
 def main():
@@ -15,9 +16,9 @@ def main():
     b = res.best_breakdown
     print("exact optimum")
     print(f"  schedule (period per project): {res.best_schedule.period_of}")
-    print(f"  chromosome:\n" + "\n".join(
-        "    " + row for row in of.encode_schedule(res.best_schedule, inst.n_periods).to_text().splitlines()
-    ))
+    print("  chromosome:")
+    for row in bit_rows(res.best_schedule.period_of, inst.n_periods):
+        print(f"    {row}")
     print(f"  per-period costs: {b.total_cost_per_period} vs budgets {inst.budgets}")
     print(f"  projects per period: {b.count_per_period}")
     print(f"  DCF sum {sum(b.dcf_values)}, options accrued {sum(b.option_accrued)}, total {b.total_value}")

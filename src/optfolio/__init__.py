@@ -12,15 +12,11 @@ from importlib import resources
 from .ga import GaConfig, SolveResult, run_ga
 from .generator import generate_instance
 from .model import (
-    Chromosome,
     DependencyEdge,
     Instance,
-    InvalidChromosomeError,
     Project,
     Schedule,
     cost_present_value,
-    decode_chromosome,
-    encode_schedule,
     return_present_value,
     validate_instance,
 )
@@ -48,12 +44,10 @@ def load_paper_fixture() -> Instance:
 
 
 __all__ = [
-    "Chromosome",
     "DependencyEdge",
     "EvaluationBreakdown",
     "GaConfig",
     "Instance",
-    "InvalidChromosomeError",
     "InvalidInstanceError",
     "OracleResult",
     "Project",
@@ -64,8 +58,6 @@ __all__ = [
     "build_tables",
     "candidate_key",
     "cost_present_value",
-    "decode_chromosome",
-    "encode_schedule",
     "enumerate_optimal",
     "evaluate",
     "generate_instance",

@@ -2,11 +2,9 @@
 
 Individuals are integer gene vectors (one period per project, as plain
 tuples), which keeps crossover and mutation closed over valid schedules;
-a Schedule is built only for the returned best. The bit-matrix
-chromosome remains the interchange format (model.encode/decode, plus
-repair here for raw bit matrices). Constraint handling is feasibility-
-first comparison rather than penalty weights: any feasible individual
-dominates any infeasible one.
+a Schedule is built only for the returned best. Constraint handling is
+feasibility-first comparison rather than penalty weights: any feasible
+individual dominates any infeasible one.
 
 Each generation is scored and ranked in one step. Its distinct genomes
 not yet in the score memo are valued in one statement: one numpy batch
@@ -25,7 +23,7 @@ import random
 from dataclasses import dataclass
 from functools import cache, partial
 
-from .model import Chromosome, Instance, Schedule
+from .model import Instance, Schedule
 from .valuation import EvaluationBreakdown, Tables, _breakdown, build_tables, candidate_key, score
 
 # A generation's new genomes are scored in one numpy batch when they hold at
@@ -83,25 +81,6 @@ class SolveResult:
     generations_run: int
     trace: tuple[TraceEntry, ...]
     terminated_by: str  # "max_generations" | "stagnation"
-
-
-def repair(c: Chromosome, rng: random.Random) -> Schedule:
-    """Turn any bit matrix into a valid schedule.
-
-    One-set-bit rows map directly; multi-set rows keep one set bit chosen
-    uniformly; empty rows get a uniformly random period.
-    """
-    periods = []
-    n_periods = c.n_periods
-    for row in c.bits:
-        set_cols = [j for j, b in enumerate(row) if b]
-        if len(set_cols) == 1:
-            periods.append(set_cols[0] + 1)
-        elif set_cols:
-            periods.append(rng.choice(set_cols) + 1)
-        else:
-            periods.append(rng.randrange(n_periods) + 1)
-    return Schedule(period_of=tuple(periods))
 
 
 def crossover(

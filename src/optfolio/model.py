@@ -3,9 +3,7 @@
 A portfolio instance is a set of projects, each with a present-value cost
 and return for every candidate funding period, plus directed dependency
 edges carrying an option value and a dependency level. A schedule assigns
-every project to exactly one period. The bit-matrix chromosome (one row
-per project, one column per period) is the interchange encoding; the
-internal representation is the compact period-per-project vector.
+every project to exactly one period, as a period-per-project vector.
 """
 
 from __future__ import annotations
@@ -16,16 +14,6 @@ from dataclasses import dataclass
 MONEY_TOL = 1e-9
 
 TOTAL_DEPENDENCY_MODES = ("hard", "soft")
-
-
-class InvalidChromosomeError(ValueError):
-    """Raised when a bit matrix has rows with zero or multiple set bits."""
-
-    def __init__(self, bad_rows: list[tuple[int, int]]):
-        # bad_rows: (1-based row index, number of set bits)
-        self.bad_rows = bad_rows
-        detail = "; ".join(f"row {r} has {n} set bits" for r, n in bad_rows)
-        super().__init__(f"invalid chromosome: {detail}")
 
 
 def cost_present_value(raw_cost: float, rate: float, k: int) -> float:
@@ -115,71 +103,6 @@ class Schedule:
     def __post_init__(self):
         if not all(isinstance(k, int) and k >= 1 for k in self.period_of):
             raise ValueError(f"periods must be integers >= 1, got {self.period_of}")
-
-
-@dataclass(frozen=True)
-class Chromosome:
-    """Bit-matrix encoding: row per project, column per period.
-
-    Raw matrices may be invalid (rows with zero or multiple set bits);
-    validity is checked by decode or fixed by the solver's repair step.
-    """
-
-    bits: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        widths = {len(row) for row in self.bits}
-        if len(widths) > 1:
-            raise ValueError("all chromosome rows must have equal length")
-        for r, row in enumerate(self.bits, start=1):
-            for b in row:
-                if b not in (0, 1):
-                    raise ValueError(f"row {r} contains non-binary entry {b!r}")
-
-    @property
-    def n_projects(self) -> int:
-        return len(self.bits)
-
-    @property
-    def n_periods(self) -> int:
-        return len(self.bits[0]) if self.bits else 0
-
-    def to_text(self) -> str:
-        """Bit-row text form: one line of '0'/'1' characters per project."""
-        return "\n".join("".join(str(b) for b in row) for row in self.bits)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Chromosome":
-        rows = []
-        for line in text.strip().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if set(line) - {"0", "1"}:
-                raise ValueError(f"bit row contains non-binary characters: {line!r}")
-            rows.append(tuple(int(c) for c in line))
-        return cls(bits=tuple(rows))
-
-
-def decode_chromosome(c: Chromosome) -> Schedule:
-    """Decode a bit matrix into a schedule; each row must have one set bit.
-
-    Raises InvalidChromosomeError listing offending rows otherwise.
-    """
-    bad = [(r, sum(row)) for r, row in enumerate(c.bits, start=1) if sum(row) != 1]
-    if bad:
-        raise InvalidChromosomeError(bad)
-    return Schedule(period_of=tuple(row.index(1) + 1 for row in c.bits))
-
-
-def encode_schedule(s: Schedule, n_periods: int) -> Chromosome:
-    """One-hot encode a schedule; inverse of decode_chromosome."""
-    if any(k > n_periods for k in s.period_of):
-        raise ValueError("schedule references a period beyond n_periods")
-    rows = tuple(
-        tuple(1 if col == k - 1 else 0 for col in range(n_periods)) for k in s.period_of
-    )
-    return Chromosome(bits=rows)
 
 
 def validate_instance(inst: Instance) -> list[str]:

@@ -1,5 +1,10 @@
 """File formats: instance JSON documents, bit-row text, result JSON, CSV.
 
+Bit-row text writes a schedule in the paper's x_ik form: one row per
+project, one '0'/'1' column per period, and exactly one '1' per row, in
+the column of the project's funding period. Results print it as their
+`chromosome`, and `evaluate` reads it in place of a period list.
+
 All emitters are byte-stable for identical inputs (fixed key order, fixed
 numeric formatting) so golden tests and determinism checks can compare
 output verbatim.
@@ -11,14 +16,11 @@ import json
 
 from .ga import SolveResult, TraceEntry
 from .model import (
-    Chromosome,
     DependencyEdge,
     Instance,
     Project,
     Schedule,
     cost_present_value,
-    decode_chromosome,
-    encode_schedule,
     return_present_value,
 )
 from .oracle import OracleResult
@@ -79,6 +81,10 @@ def instance_from_dict(doc: dict) -> Instance:
     n_periods = _integer(_require(doc, "N", "instance"), "N")
     rate = _number(doc.get("rate", 0.0), "rate")
     budgets = _numbers(_require(doc, "budgets", "instance"), "budgets")
+    # checked before any N-long table is derived, so a small document with a
+    # huge N costs no more than its own size
+    if len(budgets) != n_periods:
+        raise InstanceFormatError(f"budgets has {len(budgets)} entries, expected N ({n_periods})")
     q_min = tuple(
         _integer(q, "q_min entry") for q in _array(_require(doc, "q_min", "instance"), "q_min")
     )
@@ -223,11 +229,13 @@ def breakdown_to_dict(b: EvaluationBreakdown) -> dict:
     }
 
 
+def bit_rows(periods: tuple[int, ...], n_periods: int) -> list[str]:
+    """The bit-row text of a schedule, one string per project; periods in 1..N."""
+    return ["0" * (k - 1) + "1" + "0" * (n_periods - k) for k in periods]
+
+
 def _schedule_doc(s: Schedule, n_periods: int) -> dict:
-    return {
-        "period_of": list(s.period_of),
-        "chromosome": encode_schedule(s, n_periods).to_text().splitlines(),
-    }
+    return {"period_of": list(s.period_of), "chromosome": bit_rows(s.period_of, n_periods)}
 
 
 def solve_result_to_dict(res: SolveResult) -> dict:
@@ -297,9 +305,17 @@ def parse_schedule_arg(arg: str, n_projects: int, n_periods: int) -> Schedule:
         if any(not (1 <= k <= n_periods) for k in periods):
             raise ValueError(f"schedule periods must be in 1..{n_periods}")
         return Schedule(period_of=periods)
-    chrom = Chromosome.from_text(text)
-    if chrom.n_projects != n_projects or chrom.n_periods != n_periods:
-        raise ValueError(
-            f"bit rows are {chrom.n_projects}x{chrom.n_periods}, expected {n_projects}x{n_periods}"
-        )
-    return decode_chromosome(chrom)
+    rows = [line.strip() for line in text.splitlines() if line.strip()]
+    for row in rows:
+        if set(row) - {"0", "1"}:
+            raise ValueError(f"bit row contains non-binary characters: {row!r}")
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("all chromosome rows must have equal length")
+    width = len(rows[0]) if rows else 0
+    if (len(rows), width) != (n_projects, n_periods):
+        raise ValueError(f"bit rows are {len(rows)}x{width}, expected {n_projects}x{n_periods}")
+    bad = [(r, row.count("1")) for r, row in enumerate(rows, start=1) if row.count("1") != 1]
+    if bad:
+        detail = "; ".join(f"row {r} has {n} set bits" for r, n in bad)
+        raise ValueError(f"invalid chromosome: {detail}")
+    return Schedule(period_of=tuple(row.index("1") + 1 for row in rows))

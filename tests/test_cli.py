@@ -113,7 +113,7 @@ class TestParseScheduleArg:
             parse_schedule_arg("1,2", 7, 3)
 
     def test_invalid_bit_rows_report(self):
-        with pytest.raises(of.InvalidChromosomeError, match="row 1 has 2 set bits"):
+        with pytest.raises(ValueError, match="row 1 has 2 set bits"):
             parse_schedule_arg("110\n010", 2, 3)
 
     def test_single_project_period_number(self):
@@ -372,6 +372,20 @@ class TestRefusedInput:
         with pytest.raises(InstanceFormatError, match=field):
             instance_from_dict(doc)
 
+    def test_period_count_beyond_budgets_refused_before_tables(self, tmp_path, capsys):
+        # a few bytes naming N = 1e9: deriving the N-long PV tables first
+        # would take minutes and gigabytes
+        doc = {
+            "n_p": 1, "N": 10**9, "budgets": [10.0], "q_min": [0], "q_max": [1],
+            "projects": [{"id": 1, "raw_cost": 1.0, "return_stream": [2.0]}],
+        }
+        path = tmp_path / "huge_n.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli("evaluate", str(path), "1")
+        assert code == 1
+        assert out == ""
+        assert "budgets has 1 entries, expected N (1000000000)" in capsys.readouterr().err
+
 
 def _count_calls(monkeypatch, home: str, name: str) -> list:
     """Count calls of `home.name` through every optfolio module that binds it."""
@@ -556,9 +570,51 @@ class TestEvaluate:
     def test_invalid_bit_rows_rejected_with_report(self, tmp_path, capsys):
         rows = tmp_path / "rows.txt"
         rows.write_text("110\n010\n100\n010\n010\n001\n001\n")
-        code, _ = run_cli("evaluate", FIXTURE, str(rows))
+        code, out = run_cli("evaluate", FIXTURE, str(rows))
         assert code == 1
+        assert out == ""
         assert "row 1 has 2 set bits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("100\n000\n100\n010\n010\n001\n001", "row 2 has 0 set bits"),
+            ("100\n01\n100\n010\n010\n001\n001", "equal length"),
+            ("100\n0x0\n100\n010\n010\n001\n001", "non-binary characters: '0x0'"),
+            ("100\n010\n100\n010\n010\n001", "bit rows are 6x3, expected 7x3"),
+            ("10\n01\n10\n01\n01\n10\n10", "bit rows are 7x2, expected 7x3"),
+        ],
+        ids=["none-set", "unequal-width", "non-binary", "short", "narrow"],
+    )
+    def test_malformed_bit_rows_print_nothing(self, tmp_path, capsys, text, message):
+        rows = tmp_path / "rows.txt"
+        rows.write_text(text + "\n")
+        code, out = run_cli("evaluate", FIXTURE, str(rows))
+        assert code == 1
+        assert out == ""
+        assert message in capsys.readouterr().err
+
+
+def test_printed_chromosome_evaluates_to_the_printed_breakdown(tmp_path):
+    # the bit rows a result prints read back, through evaluate, as the same schedule
+    paths = [FIXTURE]
+    for i in range(24):  # desk scale: n_p 5..8, N 2..3
+        paths.append(str(tmp_path / f"desk-{i:02d}.json"))
+        save_instance(of.generate_instance(5 + i % 4, 2 + (i // 4) % 2, seed=i), paths[-1])
+    rows = tmp_path / "rows.txt"
+    checked = []
+    for path in paths:
+        for argv in (("solve", path, "--seed", "1"), ("exact", path)):
+            _, out = run_cli(*argv)
+            doc = json.loads(out)
+            if doc["chromosome"] is None:  # the oracle proved no schedule feasible
+                continue
+            rows.write_text("\n".join(doc["chromosome"]) + "\n")
+            code, evaluated = run_cli("evaluate", path, str(rows))
+            assert code == 0
+            assert evaluated == json.dumps(doc["breakdown"], indent=2) + "\n", argv
+            checked.append(argv[0])
+    assert checked.count("solve") == 25 and checked.count("exact") == 24
 
 
 SWEEP_CSV = """q_min,q_max,status,value,schedule

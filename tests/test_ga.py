@@ -6,40 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import optfolio as of
-from optfolio.ga import greedy_seed, mutate, crossover, tournament_select, repair
-from optfolio.model import Chromosome
+from optfolio.ga import greedy_seed, mutate, crossover, tournament_select
 from optfolio.valuation import build_tables, candidate_key, score
-
-
-class TestRepair:
-    def test_valid_chromosome_passes_through(self):
-        chrom = Chromosome.from_text("100\n010\n100\n010\n010\n001\n001")
-        s = repair(chrom, random.Random(0))
-        assert s.period_of == (1, 2, 1, 2, 2, 3, 3)
-
-    def test_multi_set_row_keeps_one_set_bit(self):
-        chrom = Chromosome(bits=((1, 1, 1),))
-        rng = random.Random(0)
-        picks = {repair(chrom, rng).period_of[0] for _ in range(200)}
-        assert picks == {1, 2, 3}
-
-    def test_forced_choice(self):
-        class Forced(random.Random):
-            def choice(self, seq):
-                return seq[0]
-
-        chrom = Chromosome(bits=((1, 1, 1),))
-        assert repair(chrom, Forced()).period_of == (1,)
-
-    @given(st.integers(1, 8), st.integers(1, 4), st.randoms(use_true_random=False))
-    @settings(max_examples=200)
-    def test_random_matrices_repair_to_valid_schedules(self, n_p, n_periods, rng):
-        bits = tuple(
-            tuple(rng.randrange(2) for _ in range(n_periods)) for _ in range(n_p)
-        )
-        s = repair(Chromosome(bits=bits), rng)
-        assert len(s.period_of) == n_p
-        assert all(1 <= k <= n_periods for k in s.period_of)
 
 
 class TestCrossover:

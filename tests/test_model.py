@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import optfolio as of
-from optfolio.model import Chromosome, InvalidChromosomeError
+from optfolio.serialization import bit_rows, parse_schedule_arg
 
 
 # The 7x3 one-hot matrix for the case-study optimum, in bit-row text form.
@@ -51,53 +51,49 @@ class TestReturnPresentValue:
 
 
 class TestChromosomeCodec:
+    """Bit-row text: written by `bit_rows`, read by `parse_schedule_arg`."""
+
     def test_best_chromosome_decodes(self):
-        chrom = Chromosome.from_text(BEST_CHROMOSOME_TEXT)
-        assert of.decode_chromosome(chrom).period_of == (1, 2, 1, 2, 2, 3, 3)
+        assert parse_schedule_arg(BEST_CHROMOSOME_TEXT, 7, 3).period_of == (1, 2, 1, 2, 2, 3, 3)
 
     def test_encode_reproduces_bit_rows(self):
-        s = of.Schedule(period_of=(1, 2, 1, 2, 2, 3, 3))
-        assert of.encode_schedule(s, 3).to_text() == BEST_CHROMOSOME_TEXT
+        assert "\n".join(bit_rows((1, 2, 1, 2, 2, 3, 3), 3)) == BEST_CHROMOSOME_TEXT
 
     def test_single_project_single_period(self):
-        assert of.encode_schedule(of.Schedule(period_of=(1,)), 1).bits == ((1,),)
+        assert bit_rows((1,), 1) == ["1"]
 
     def test_multi_set_row_rejected(self):
-        chrom = Chromosome(bits=((1, 1, 0), (0, 1, 0)))
-        with pytest.raises(InvalidChromosomeError) as exc:
-            of.decode_chromosome(chrom)
-        assert exc.value.bad_rows == [(1, 2)]
+        with pytest.raises(ValueError) as exc:
+            parse_schedule_arg("110\n010", 2, 3)
+        assert str(exc.value) == "invalid chromosome: row 1 has 2 set bits"
 
     def test_empty_row_rejected(self):
-        chrom = Chromosome(bits=((0, 0, 0), (0, 1, 0)))
-        with pytest.raises(InvalidChromosomeError) as exc:
-            of.decode_chromosome(chrom)
-        assert exc.value.bad_rows == [(1, 0)]
+        with pytest.raises(ValueError) as exc:
+            parse_schedule_arg("000\n010", 2, 3)
+        assert str(exc.value) == "invalid chromosome: row 1 has 0 set bits"
 
     def test_non_binary_entries_rejected(self):
-        with pytest.raises(ValueError):
-            Chromosome(bits=((2, 0),))
+        with pytest.raises(ValueError, match="non-binary"):
+            parse_schedule_arg("20", 1, 2)
 
     @given(st.integers(1, 4).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), min_size=1, max_size=8))
     ))
     def test_round_trip(self, n_and_periods):
         n_periods, periods = n_and_periods
-        s = of.Schedule(period_of=tuple(periods))
-        assert of.decode_chromosome(of.encode_schedule(s, n_periods)) == s
+        text = "\n".join(bit_rows(tuple(periods), n_periods))
+        assert parse_schedule_arg(text, len(periods), n_periods).period_of == tuple(periods)
 
     @given(st.integers(1, 8), st.integers(1, 4), st.randoms(use_true_random=False))
     def test_decode_then_encode_identity(self, n_p, n_periods, rng):
         cols = [rng.randrange(n_periods) for _ in range(n_p)]
-        rows = tuple(
-            tuple(1 if c == cols[r] else 0 for c in range(n_periods)) for r in range(n_p)
-        )
-        chrom = Chromosome(bits=rows)
-        assert of.encode_schedule(of.decode_chromosome(chrom), n_periods) == chrom
+        rows = ["".join("1" if c == cols[r] else "0" for c in range(n_periods)) for r in range(n_p)]
+        s = parse_schedule_arg("\n".join(rows), n_p, n_periods)
+        assert bit_rows(s.period_of, n_periods) == rows
 
     def test_text_round_trip(self):
-        chrom = Chromosome.from_text(BEST_CHROMOSOME_TEXT)
-        assert Chromosome.from_text(chrom.to_text()) == chrom
+        s = parse_schedule_arg(BEST_CHROMOSOME_TEXT, 7, 3)
+        assert "\n".join(bit_rows(s.period_of, 3)) == BEST_CHROMOSOME_TEXT
 
 
 _PAPER = of.load_paper_fixture()

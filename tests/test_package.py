@@ -40,3 +40,17 @@ def test_one_field_views_are_not_exported(name):
     # each read one field of `evaluate` or `enumerate_optimal`, which remain
     assert name not in of.__all__
     assert not hasattr(of, name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["Chromosome", "InvalidChromosomeError", "decode_chromosome", "encode_schedule", "repair"],
+)
+def test_bit_matrix_codec_is_gone(name):
+    # bit rows are a text format of `serialization`; schedules are period tuples
+    import optfolio.ga
+    import optfolio.model
+
+    assert name not in of.__all__
+    for module in (of, optfolio.model, optfolio.ga):
+        assert not hasattr(module, name)
