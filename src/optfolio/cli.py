@@ -17,13 +17,18 @@ Defaults live only in the library: each GA and gen flag stores under the
 GaConfig field or generate_instance parameter it sets, and only the flags
 given are forwarded, as keyword arguments. `sweep --method exact` refuses
 GA flags rather than ignore them.
+
+`main` is cheap to call repeatedly in one process: the parser is built on
+the first call and shared by the rest, since parsing keeps no state in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -93,10 +98,14 @@ def cmd_exact(args: argparse.Namespace, out) -> int:
     return EXIT_OK if res.feasible else EXIT_INFEASIBLE
 
 
+# digits, commas and whitespace: a period list or bit rows, never a path
+_INLINE_SCHEDULE = re.compile(r"[0-9,\s]*")
+
+
 def cmd_evaluate(args: argparse.Namespace, out) -> int:
     inst = load_instance(args.instance)
     text = args.schedule
-    if os.path.exists(text):
+    if not _INLINE_SCHEDULE.fullmatch(text) and os.path.exists(text):
         with open(text) as fh:
             text = fh.read()
     schedule = parse_schedule_arg(text, inst.n_projects, inst.n_periods)
@@ -160,7 +169,9 @@ def cmd_gen(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The optfolio parser, built on first use; later calls return the same one."""
     parser = argparse.ArgumentParser(
         prog="optfolio",
         description="Multi-period project portfolio optimization with real-option accrual",

@@ -7,12 +7,20 @@ the column of the project's funding period. Results print it as their
 
 All emitters are byte-stable for identical inputs (fixed key order, fixed
 numeric formatting) so golden tests and determinism checks can compare
-output verbatim.
+output verbatim. `dump_json` writes exactly the bytes of
+`json.dumps(doc, indent=2) + "\n"`, with a small writer of its own:
+`indent` turns the standard library's C encoder off, and the pure-Python
+encoder it falls back to costs more than valuing a schedule.
+
+The loader checks each number array, and each edge, with one type test
+and runs the field-by-field checks only on a miss, so every refusal keeps
+its message.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .ga import SolveResult, TraceEntry
 from .model import (
@@ -60,12 +68,38 @@ def _array(value, context: str) -> list:
     return value
 
 
+_NUMBER_TYPES = {int, float}
+
+
 def _numbers(value, context: str) -> tuple[float, ...]:
-    # the message is built only on failure: this runs on every table entry
+    # one type test per array; a miss re-checks entry by entry for the message
+    if type(value) is list and set(map(type, value)) <= _NUMBER_TYPES:
+        return tuple(map(float, value))
     for x in _array(value, context):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise InstanceFormatError(f"{context} entries must be numbers, got {x!r}")
     return tuple(map(float, value))
+
+
+_EDGE_TYPES = (int, int, float, float)
+
+
+def _edge(ed) -> DependencyEdge:
+    try:
+        pred, dep = ed["predecessor"], ed["dependent"]
+        level, option_value = ed["level"], ed["option_value"]
+    except (KeyError, TypeError):  # a missing key, or not an object
+        pass
+    else:
+        if (type(pred), type(dep), type(level), type(option_value)) == _EDGE_TYPES:
+            return DependencyEdge(pred, dep, level, option_value)
+    # a miss (an integer level included): the checks that name the field
+    return DependencyEdge(
+        predecessor=_integer(_require(ed, "predecessor", "edge"), "edge predecessor"),
+        dependent=_integer(_require(ed, "dependent", "edge"), "edge dependent"),
+        level=_number(_require(ed, "level", "edge"), "edge level"),
+        option_value=_number(_require(ed, "option_value", "edge"), "edge option_value"),
+    )
 
 
 def instance_from_dict(doc: dict) -> Instance:
@@ -136,15 +170,7 @@ def instance_from_dict(doc: dict) -> Instance:
     # schedules index project id i at position i - 1
     projects.sort(key=lambda p: p.id)
 
-    edges = tuple(
-        DependencyEdge(
-            predecessor=_integer(_require(ed, "predecessor", "edge"), "edge predecessor"),
-            dependent=_integer(_require(ed, "dependent", "edge"), "edge dependent"),
-            level=_number(_require(ed, "level", "edge"), "edge level"),
-            option_value=_number(_require(ed, "option_value", "edge"), "edge option_value"),
-        )
-        for ed in _array(doc.get("edges", []), "edges")
-    )
+    edges = tuple(map(_edge, _array(doc.get("edges", []), "edges")))
 
     return Instance(
         n_projects=n_p,
@@ -268,8 +294,61 @@ def oracle_result_to_dict(res: OracleResult) -> dict:
     return doc
 
 
+# repr of a non-finite float -> json's spelling
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _numbers_text(values) -> list[str]:
+    # repr is int.__repr__ / float.__repr__ on exact ints and floats
+    texts = list(map(repr, values))
+    if _NON_FINITE.keys().isdisjoint(texts):
+        return texts
+    return [_NON_FINITE.get(t, t) for t in texts]
+
+
+def _json_text(value, pad: str) -> str:
+    """The indent-2 JSON text of value, whose first line is indented by pad.
+
+    Raises TypeError on a type json.dumps may know and this does not: a
+    subclass, a non-string key, or anything else.
+    """
+    kind = type(value)
+    if kind is float:
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, value)) <= _NUMBER_TYPES:
+            items = _numbers_text(value)
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"no JSON text for {kind.__name__}")
+
+
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """`json.dumps(doc, indent=2) + "\n"`, byte for byte."""
+    try:
+        return _json_text(doc, "") + "\n"
+    except TypeError:  # e.g. a numpy.float64; json writes it, or raises its own error
+        return json.dumps(doc, indent=2) + "\n"
 
 
 TRACE_HEADER = "generation,best_value,mean_feasible_value,feasible_count,best_violation"

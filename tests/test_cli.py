@@ -1,12 +1,13 @@
+import contextlib
 import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +18,15 @@ from optfolio.cli import main
 from optfolio.oracle import VALUE_RTOL
 from optfolio.serialization import (
     InstanceFormatError,
+    breakdown_to_dict,
+    dump_json,
     instance_from_dict,
     instance_to_dict,
     load_instance,
+    oracle_result_to_dict,
     parse_schedule_arg,
     save_instance,
+    solve_result_to_dict,
 )
 
 FIXTURE = of.paper_fixture_path()
@@ -86,12 +91,45 @@ class TestInstanceDocument:
                 "project 1: return_stream must be non-empty",
             ),
             (_one_project(cost_pv=[1.0, 1.0]), "project 1: needs return_pv or return_stream"),
+            (
+                _one_project(cost_pv=[1.0, True], return_pv=[1.0, 1.0]),
+                "project 1: cost_pv entries must be numbers, got True",
+            ),
+            (
+                dict(
+                    _one_project(cost_pv=[1.0, 1.0], return_pv=[1.0, 1.0]),
+                    edges=[[1, 1, 1.0, 0.0]],
+                ),
+                "edge must be an object, got [1, 1, 1.0, 0.0]",
+            ),
+            (
+                dict(
+                    _one_project(cost_pv=[1.0, 1.0], return_pv=[1.0, 1.0]),
+                    edges=[{"predecessor": 1, "dependent": 1, "level": 1.0}],
+                ),
+                "edge: missing required key 'option_value'",
+            ),
         ],
-        ids=["not-an-object", "no-cost", "empty-stream", "no-return"],
+        ids=[
+            "not-an-object", "no-cost", "empty-stream", "no-return", "last-cost-boolean",
+            "edge-array", "edge-no-option-value",
+        ],
     )
     def test_refused_documents(self, doc, message):
-        with pytest.raises(InstanceFormatError, match=re.escape(message)):
+        with pytest.raises(InstanceFormatError) as info:
             instance_from_dict(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("key", ["level", "option_value"])
+    def test_integer_edge_numbers_load_as_floats(self, paper_instance, key):
+        doc = instance_to_dict(paper_instance)
+        integral = [e for e in doc["edges"] if float(e[key]).is_integer()]
+        assert integral
+        for edge in integral:
+            edge[key] = int(edge[key])
+        inst = instance_from_dict(doc)
+        assert inst == paper_instance
+        assert all(type(getattr(e, key)) is float for e in inst.edges)
 
     def test_comment_keys_ignored(self, paper_instance):
         doc = instance_to_dict(paper_instance)
@@ -313,6 +351,7 @@ _WRONG_TYPES = {
     "projects-entry-number": ("project", _put("projects", 0, value=5)),
     "projects-entry-string": ("project", _put("projects", 0, value="id")),
     "edges-entry-number": ("edge", _put("edges", 0, value=5)),
+    "edges-entry-array": ("edge", _put("edges", 0, value=[1, 2, 1.0, 10.0])),
     "edges-null": ("edges", _put("edges", value=None)),
     "budgets-number": ("budgets", _put("budgets", value=5)),
     "budgets-entry-array": ("budgets", _put("budgets", 0, value=[1])),
@@ -321,6 +360,7 @@ _WRONG_TYPES = {
     "rate-string": ("rate", _put("rate", value="0")),
     "cost_pv-number": ("cost_pv", _put("projects", 0, "cost_pv", value=5)),
     "cost_pv-booleans": ("cost_pv", _put("projects", 0, "cost_pv", value=[True, True, True])),
+    "cost_pv-last-boolean": ("cost_pv", _put("projects", 0, "cost_pv", 2, value=True)),
     "return_pv-string": ("return_pv", _put("projects", 0, "return_pv", 0, value="13")),
     "raw_cost-boolean": ("raw_cost", _put("projects", 0, "raw_cost", value=True)),
     "return_stream-string": ("return_stream", _put("projects", 0, "return_stream", value=["13"])),
@@ -556,6 +596,16 @@ class TestEvaluate:
         _, out_comma = run_cli("evaluate", FIXTURE, "1,2,1,2,2,3,3")
         _, out_rows = run_cli("evaluate", FIXTURE, str(rows))
         assert out_comma == out_rows
+
+    def test_file_named_like_a_comma_schedule_is_not_read(self, tmp_path, monkeypatch):
+        # only an argument that is not digits, commas and whitespace is a path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "1,2,1,2,2,3,3").write_text("2,2,2,2,2,2,2")
+        code, out = run_cli("evaluate", FIXTURE, "1,2,1,2,2,3,3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["total_value"] == 203
+        assert doc["feasible"] is True
 
     def test_infeasible_schedule_exits_zero(self):
         # the breakdown reports infeasibility; evaluate exits 0 whenever it prints one
@@ -859,3 +909,126 @@ def test_solve_value_never_exceeds_exact(tmp_path):
         ga_doc, exact_doc = json.loads(out_ga), json.loads(out_exact)
         if ga_doc["feasible"] and exact_doc["feasible"]:
             assert ga_doc["value"] <= exact_doc["value"] + 1e-9
+
+
+HELP_TEXT = Path(__file__).with_name("cli_help.txt").read_text()
+
+
+class TestSharedParser:
+    """One parser serves every `main` call of a process."""
+
+    def _help(self, monkeypatch, argv) -> str:
+        monkeypatch.setenv("COLUMNS", "80")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as info:
+            main([*argv, "--help"])
+        assert info.value.code == 0
+        return f"==> optfolio {' '.join([*argv, '--help'])} <==\n" + buf.getvalue()
+
+    def test_help_bytes(self, monkeypatch):
+        commands = ([], ["solve"], ["exact"], ["evaluate"], ["sweep"], ["gen"])
+        # twice: help printed by a parser that has already parsed is the same
+        for _ in range(2):
+            assert "".join(self._help(monkeypatch, argv) for argv in commands) == HELP_TEXT
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        _, want = run_cli("evaluate", FIXTURE, "1,2,1,2,2,3,3")
+        with pytest.raises(SystemExit) as info:
+            main(["solve"])
+        assert info.value.code == 2
+        assert "the following arguments are required: instance" in capsys.readouterr().err
+        assert run_cli("evaluate", FIXTURE, "1,2,1,2,2,3,3") == (0, want)
+        assert json.loads(want)["total_value"] == 203
+
+    def test_built_once_across_calls(self):
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert run_cli("exact", FIXTURE)[0] == 0
+        assert run_cli("evaluate", FIXTURE, "1,1,1,1,1,1,1")[0] == 0
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser() is cli.build_parser()
+
+
+def _json_reference(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestDumpJson:
+    """dump_json writes exactly the bytes of json.dumps(doc, indent=2) + "\\n"."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"nan": math.nan, "inf": math.inf, "-inf": -math.inf},
+            [math.nan, math.inf, -math.inf, 1.0],
+            {"overflow": sum([1e308, 1e308]), "entries": [1e308, 1e308, sum([1e308, 1e308])]},
+            {"zero": -0.0, "subnormal": 1e-320, "entries": [-0.0, 1e-320, 5e-324]},
+            # an option_accrued with no option edge into play is the int 0
+            {"option_accrued": 0, "mixed": [0, 0.0, -1, 2.5, 10**30]},
+            {"list": [], "dict": {}, "nested": [[], {}, [[]], {"x": {}}]},
+            {"label": "Projekt Ü ☃ 😀", "escapes": "quote \" back \\ tab \t nl \n nul \x00"},
+            {"é": [" ", "\x7f"], "": None, "t": True, "f": False},
+            [],
+            {},
+            "just a string",
+            3.5,
+            ({"tuple": (1, "a")}, (math.nan,)),
+            # keys json converts, and a float subclass such as numpy.float64
+            {1: "int key", None: [2.5]},
+            {"outer": {1.5: math.inf, True: []}},
+            {"ratio": type("Ratio", (float,), {})(0.5), "count": [True, 3]},
+        ],
+        ids=[
+            "non-finite", "non-finite-list", "overflow", "signed-zero-subnormal", "int-zero",
+            "empty", "non-ascii", "keys", "empty-list", "empty-dict", "string", "float", "tuples",
+            "int-and-none-keys", "float-and-bool-keys", "float-subclass",
+        ],
+    )
+    def test_edge_cases(self, doc):
+        assert dump_json(doc) == _json_reference(doc)
+
+    def test_refuses_what_json_refuses(self):
+        with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+            dump_json({"x": [object()]})
+
+    @given(doc=_JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value(self, doc):
+        assert dump_json(doc) == _json_reference(doc)
+
+    @given(
+        n_p=st.integers(1, 7),
+        n_periods=st.integers(1, 3),
+        edge_density=st.sampled_from([0.0, 0.3, 0.8]),
+        mode=st.sampled_from(["hard", "soft"]),
+        gen_seed=st.integers(0, 10**6),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_result_documents(self, n_p, n_periods, edge_density, mode, gen_seed, rng):
+        inst = replace(
+            of.generate_instance(n_p, n_periods, edge_density=edge_density, seed=gen_seed),
+            total_dependency_mode=mode,
+        )
+        starved = replace(inst, budgets=(1e-9,) * n_periods)
+        schedule = of.Schedule(period_of=tuple(rng.randint(1, n_periods) for _ in range(n_p)))
+        ga = of.GaConfig(seed=rng.randint(0, 100), population_size=10, max_generations=5)
+        docs = [
+            solve_result_to_dict(of.run_ga(inst, ga)),
+            solve_result_to_dict(of.run_ga(starved, ga)),
+            oracle_result_to_dict(of.enumerate_optimal(inst)),
+            oracle_result_to_dict(of.enumerate_optimal(starved)),
+            breakdown_to_dict(of.evaluate(schedule, inst)),
+        ]
+        assert docs[3]["feasible"] is False and docs[3]["value"] is None
+        for doc in docs:
+            assert dump_json(doc) == _json_reference(doc)

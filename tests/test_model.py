@@ -238,17 +238,63 @@ class TestValidateInstance:
                 _first_project(cost_pv=(15.0, -1.0, 15.0)),
                 "project 1: cost_pv[2] must be > 0, got -1.0",
             ),
+            (_first_project(cost_pv=(15.0, 15.0, 0.0)), "project 1: cost_pv[3] must be > 0, got 0.0"),
+            (
+                _first_project(return_pv=(13.0, 13.0, -0.5)),
+                "project 1: return_pv[3] must be >= 0, got -0.5",
+            ),
             (_first_project(id=9), "project ids must be exactly 1..7, got [2, 3, 4, 5, 6, 7, 9]"),
         ],
         ids=[
             "n_p", "N", "projects-length", "budgets-length", "q_min-length", "q_max-length",
-            "cost_pv-length", "return_pv-length", "mode", "budget", "cost", "ids",
+            "cost_pv-length", "return_pv-length", "mode", "budget", "cost", "zero-cost", "return",
+            "ids",
         ],
     )
     def test_each_invariant_is_reported(self, paper_instance, change, message):
         from dataclasses import replace
 
         assert message in of.validate_instance(replace(paper_instance, **change))
+
+    def test_table_faults_are_reported_in_entry_order(self, paper_instance):
+        from dataclasses import replace
+
+        p0 = replace(
+            paper_instance.projects[0],
+            cost_pv=(-2.0, math.inf, 15.0),
+            return_pv=(-1.0, 13.0, math.nan),
+        )
+        bad = replace(
+            paper_instance,
+            budgets=(math.nan, -1.0, math.inf),
+            projects=(p0,) + paper_instance.projects[1:],
+        )
+        assert of.validate_instance(bad) == [
+            "budgets[1] must be finite, got nan",
+            "budgets[2] must be > 0, got -1.0",
+            "budgets[3] must be finite, got inf",
+            "project 1: cost_pv[1] must be > 0, got -2.0",
+            "project 1: cost_pv[2] must be finite, got inf",
+            "project 1: return_pv[1] must be >= 0, got -1.0",
+            "project 1: return_pv[3] must be finite, got nan",
+        ]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # each table sums to inf, though every entry is finite
+            dict(budgets=(1e308,) * 3),
+            _first_project(cost_pv=(1e308,) * 3),
+            _first_project(return_pv=(1e308,) * 3),
+            _first_project(return_pv=(0.0, -0.0, 0.0)),
+            _first_project(cost_pv=(5e-324, 15.0, 15.0)),
+        ],
+        ids=["budgets-overflow", "cost-overflow", "return-overflow", "zero-returns", "tiny-cost"],
+    )
+    def test_boundary_tables_are_valid(self, paper_instance, change):
+        from dataclasses import replace
+
+        assert of.validate_instance(replace(paper_instance, **change)) == []
 
     def test_negative_rate_with_raw_cost_is_reported(self, paper_instance):
         from dataclasses import replace
