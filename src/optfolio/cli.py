@@ -222,7 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help, --version
+            raise
+        return EXIT_INPUT_ERROR  # argparse has printed the usage error
     try:
         return args.func(args, out)
     except SearchSpaceCapExceeded as exc:

@@ -7,18 +7,42 @@ feasibility-first comparison rather than penalty weights: any feasible
 individual dominates any infeasible one.
 
 Each generation is scored and ranked in one step. Its distinct genomes
-not yet in the score memo are valued in one statement: one numpy batch
+not yet in the memo are valued in one statement: one numpy batch
 (`batch.score_batch`, bit-identical to `valuation.score`) when they hold
 at least BATCH_MIN_GENES genes, else one `score` call each. numpy is
 imported on the first batch, so a solve too small to batch never loads
-it. Each member's `candidate_key` (violation, -value, genome) encodes the
-feasibility-first order: the generation's best is `min(keys)`, the
-elites are the first sorted keys (equal keys hold equal genomes), and a
-tournament returns the genome of its least key.
+it. The memo keeps each genome's `candidate_key` (violation, -value,
+genome), computed once, which encodes the feasibility-first order: the
+generation's best is `min(keys)`, the elites are the least keys (equal
+keys hold equal genomes), and a tournament returns the genome of its
+least key.
+
+Random draws. Each restart r seeds its own `random.Random(f"{seed}:{r}")`
+and draws, in this order:
+
+1. the first generation: for each of population_size - 1 genomes, one
+   period per project, each `randrange(1, N + 1)` (the greedy seed
+   genome draws nothing);
+2. after scoring each generation that another one follows (a restart's
+   last generation, ended by stagnation or max_generations, breeds
+   nothing, and the elites draw nothing), per pair of children:
+   `tournament_size` indices for each of two tournaments, each
+   `randrange(population_size)`; when n_p >= 2, one `random()` against
+   the crossover rate and, when it crosses, a cut `randrange(1, n_p)`;
+   then per child, per gene, one `random()` against the mutation rate and
+   for a mutating gene its new period `randrange(1, N)`, shift-skipping
+   the current one. Mutation draws nothing when N < 2, and the second
+   child of a pair that does not fit the population is never mutated.
+
+Every index draw `randrange(a, a + n)` is made as `a + r`, with
+`r = getrandbits(n.bit_length())` drawn again while `r >= n`: the
+rejection rule of `Random._randbelow` behind `randrange` (CPython
+3.10-3.13), so the same Mersenne Twister words give the same results.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from functools import cache, partial
@@ -92,35 +116,59 @@ def crossover(
         raise ValueError("parents must have equal length")
     if n < 2 or rng.random() >= rate:
         return a, b
-    cut = rng.randrange(1, n)
+    # cut = randrange(1, n): one plus a draw below n - 1
+    bits, width = rng.getrandbits, (n - 1).bit_length()
+    cut = bits(width)
+    while cut >= n - 1:
+        cut = bits(width)
+    cut += 1
     return a[:cut] + b[cut:], b[:cut] + a[cut:]
 
 
 def mutate(
     genes: tuple[int, ...], rate: float, n_periods: int, rng: random.Random
 ) -> tuple[int, ...]:
-    """Per-gene mutation: reassign to a uniformly random *different* period."""
+    """Per-gene mutation: reassign to a uniformly random *different* period.
+
+    Returns genes itself when no gene mutates.
+    """
     if n_periods < 2:
         return genes
-    out = list(genes)
-    draw = rng.random
+    out = None
+    draw, bits = rng.random, rng.getrandbits
+    others = n_periods - 1  # a mutated gene takes one of the other periods
+    width = others.bit_length()
     for i, g in enumerate(genes):
         if draw() < rate:
-            new = rng.randrange(1, n_periods)  # shift-skip the current value
+            # new = randrange(1, n_periods), then shift-skip the current value
+            new = bits(width)
+            while new >= others:
+                new = bits(width)
+            new += 1
+            if out is None:
+                out = list(genes)
             out[i] = new if new < g else new + 1
-    return tuple(out)
+    return genes if out is None else tuple(out)
 
 
 def tournament_select(keys: list[tuple], k: int, rng: random.Random) -> tuple[int, ...]:
     """Draw k candidate keys with replacement, return the genome of the least."""
-    if not keys:
+    n = len(keys)
+    if not n:
         raise ValueError("population must be non-empty")
-    best_i = rng.randrange(len(keys))
+    bits, width = rng.getrandbits, n.bit_length()
+    # each index is randrange(n)
+    i = bits(width)
+    while i >= n:
+        i = bits(width)
+    best = keys[i]
     for _ in range(k - 1):
-        i = rng.randrange(len(keys))
-        if keys[i] < keys[best_i]:
-            best_i = i
-    return keys[best_i][2]
+        i = bits(width)
+        while i >= n:
+            i = bits(width)
+        if keys[i] < best:
+            best = keys[i]
+    return best[2]
 
 
 def greedy_seed(t: Tables) -> tuple[int, ...]:
@@ -145,7 +193,15 @@ def greedy_seed(t: Tables) -> tuple[int, ...]:
 
 
 def _random_periods(n_projects: int, n_periods: int, rng: random.Random) -> tuple[int, ...]:
-    return tuple(rng.randrange(1, n_periods + 1) for _ in range(n_projects))
+    """n_projects draws of randrange(1, n_periods + 1)."""
+    bits, width = rng.getrandbits, n_periods.bit_length()
+    out = []
+    for _ in range(n_projects):
+        r = bits(width)
+        while r >= n_periods:
+            r = bits(width)
+        out.append(r + 1)
+    return tuple(out)
 
 
 def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
@@ -158,9 +214,10 @@ def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
     tables = build_tables(inst)
     n_p, N = tables.n_projects, tables.n_periods
     mut_rate = cfg.mutation_rate if cfg.mutation_rate is not None else (1.0 / n_p if n_p else 0.0)
+    size, k, cx_rate = cfg.population_size, cfg.tournament_size, cfg.crossover_rate
     seed_genome = greedy_seed(tables)
-    # memoized (violation, value) per period tuple; evaluation is pure
-    scores: dict[tuple[int, ...], tuple[float, float]] = {}
+    # memoized candidate_key per period tuple; evaluation is pure
+    keyed: dict[tuple[int, ...], tuple] = {}
 
     @cache  # built on the first batch, so a solve that never batches never imports numpy
     def batch_scorer():
@@ -173,21 +230,20 @@ def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
 
     for restart in range(cfg.restarts):
         rng = random.Random(f"{cfg.seed}:{restart}")
-        population = [seed_genome] + [
-            _random_periods(n_p, N, rng) for _ in range(cfg.population_size - 1)
-        ]
+        population = [seed_genome] + [_random_periods(n_p, N, rng) for _ in range(size - 1)]
         restart_best_key: tuple | None = None
         stagnant = 0
         terminated_by = "max_generations"
 
-        for _gen in range(cfg.max_generations):
-            new = [p for p in dict.fromkeys(population) if p not in scores]
-            scores.update(
-                zip(new, batch_scorer()(new))
+        for gen in range(1, cfg.max_generations + 1):
+            new = [p for p in dict.fromkeys(population) if p not in keyed]
+            scored = (
+                batch_scorer()(new)
                 if len(new) * n_p >= BATCH_MIN_GENES
-                else ((p, score(p, tables)) for p in new)
+                else [score(p, tables) for p in new]
             )
-            keys = [candidate_key(p, scores[p]) for p in population]
+            keyed.update((p, candidate_key(p, s)) for p, s in zip(new, scored))
+            keys = list(map(keyed.__getitem__, population))
 
             gen_best = min(keys)
             if restart_best_key is None or gen_best < restart_best_key:
@@ -210,15 +266,17 @@ def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
             if stagnant >= cfg.stagnation_limit:
                 terminated_by = "stagnation"
                 break
+            if gen == cfg.max_generations:
+                break  # the last generation breeds no successor
 
             # elites carry over unchanged (monotone best within a restart)
-            next_pop = [key[2] for key in sorted(keys)[: cfg.elite_count]]
-            while len(next_pop) < cfg.population_size:
-                p1 = tournament_select(keys, cfg.tournament_size, rng)
-                p2 = tournament_select(keys, cfg.tournament_size, rng)
-                c1, c2 = crossover(p1, p2, cfg.crossover_rate, rng)
+            next_pop = [key[2] for key in heapq.nsmallest(cfg.elite_count, keys)]
+            while len(next_pop) < size:
+                p1 = tournament_select(keys, k, rng)
+                p2 = tournament_select(keys, k, rng)
+                c1, c2 = crossover(p1, p2, cx_rate, rng)
                 next_pop.append(mutate(c1, mut_rate, N, rng))
-                if len(next_pop) < cfg.population_size:
+                if len(next_pop) < size:
                     next_pop.append(mutate(c2, mut_rate, N, rng))
             population = next_pop
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 MONEY_TOL = 1e-9
 
@@ -155,7 +156,9 @@ def validate_instance(inst: Instance) -> list[str]:
             v.append(f"sum of q_min ({sum(inst.q_min)}) > n_p ({n_p}): no schedule can satisfy the minima")
 
     ids = [p.id for p in inst.projects]
-    if sorted(ids) != list(range(1, n_p + 1)):
+    # Kahn's algorithm below indexes projects by id, so it needs ids 1..n_p
+    endpoints_known = sorted(ids) == list(range(1, n_p + 1))
+    if not endpoints_known:
         v.append(f"project ids must be exactly 1..{n_p}, got {sorted(ids)}")
     elif ids != sorted(ids):
         # schedules and solvers index project id i at position i - 1
@@ -201,14 +204,17 @@ def validate_instance(inst: Instance) -> list[str]:
 
     id_set = set(ids)
     seen_pairs = set()
-    for e in inst.edges:
-        if e.predecessor == e.dependent:
-            v.append(f"edge predecessor equals dependent ({e.predecessor})")
-        if e.predecessor not in id_set:
-            v.append(f"edge references unknown predecessor {e.predecessor}")
-        if e.dependent not in id_set:
-            v.append(f"edge references unknown dependent {e.dependent}")
-        pair = (e.predecessor, e.dependent)
+    pairs = list(map(_ENDPOINTS, inst.edges))
+    for e, pair in zip(inst.edges, pairs):
+        pred, dep = pair
+        if pred == dep:
+            v.append(f"edge predecessor equals dependent ({pred})")
+        if pred not in id_set:
+            v.append(f"edge references unknown predecessor {pred}")
+            endpoints_known = False
+        if dep not in id_set:
+            v.append(f"edge references unknown dependent {dep}")
+            endpoints_known = False
         if pair in seen_pairs:
             v.append(f"duplicate edge for pair {pair}")
         seen_pairs.add(pair)
@@ -220,10 +226,37 @@ def validate_instance(inst: Instance) -> list[str]:
         elif e.option_value < 0:
             v.append(f"edge {pair}: option_value must be >= 0, got {e.option_value}")
 
-    cycle = _find_cycle(inst)
-    if cycle:
-        v.append(f"dependency graph contains a cycle: {' -> '.join(map(str, cycle))}")
+    # the depth-first search names a cycle; it runs only when Kahn's order
+    # misses a project (one on or behind a cycle) or cannot be computed
+    if not endpoints_known or len(_topological_order(n_p, pairs)) < n_p:
+        cycle = _find_cycle(inst)
+        if cycle:
+            v.append(f"dependency graph contains a cycle: {' -> '.join(map(str, cycle))}")
     return v
+
+
+_ENDPOINTS = attrgetter("predecessor", "dependent")
+
+
+def _topological_order(n_p: int, pairs: list[tuple[int, int]]) -> list[int]:
+    """Kahn's algorithm: project ids 1..n_p, each after all its predecessors.
+
+    pairs are (predecessor, dependent) edges between ids in 1..n_p. A
+    project on a cycle, or reachable from one, is left out, so the order
+    holds all n_p projects exactly when the graph is acyclic.
+    """
+    succ: list[list[int]] = [[] for _ in range(n_p + 1)]
+    indegree = [0] * (n_p + 1)
+    for pred, dep in pairs:
+        succ[pred].append(dep)
+        indegree[dep] += 1
+    order = [i for i in range(1, n_p + 1) if not indegree[i]]
+    for i in order:  # appending while iterating makes order its own queue
+        for dep in succ[i]:
+            indegree[dep] -= 1
+            if not indegree[dep]:
+                order.append(dep)
+    return order
 
 
 def _find_cycle(inst: Instance) -> list[int] | None:

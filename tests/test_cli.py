@@ -933,12 +933,24 @@ class TestSharedParser:
 
     def test_usage_error_leaves_the_parser_usable(self, capsys):
         _, want = run_cli("evaluate", FIXTURE, "1,2,1,2,2,3,3")
-        with pytest.raises(SystemExit) as info:
-            main(["solve"])
-        assert info.value.code == 2
+        assert main(["solve"]) == 1
         assert "the following arguments are required: instance" in capsys.readouterr().err
         assert run_cli("evaluate", FIXTURE, "1,2,1,2,2,3,3") == (0, want)
         assert json.loads(want)["total_value"] == 203
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["solve"], ["solve", FIXTURE, "--seed", "x"], ["frobnicate"], ["exact", FIXTURE, "--nope"]],
+    )
+    def test_usage_errors_exit_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage: optfolio")
+
+    def test_version_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--version"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == f"optfolio {of.__version__}\n"
 
     def test_built_once_across_calls(self):
         cli.build_parser.cache_clear()

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -6,23 +7,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import optfolio as of
-from optfolio.ga import greedy_seed, mutate, crossover, tournament_select
+from optfolio.ga import _random_periods, greedy_seed, mutate, crossover, tournament_select
 from optfolio.valuation import build_tables, candidate_key, score
 
 
 class TestCrossover:
     def test_known_cut(self):
         class ForcedCut(random.Random):
+            def __init__(self, cut):
+                super().__init__()
+                self.cut = cut
+
             def random(self):
                 return 0.0  # always cross
 
-            def randrange(self, *a):
-                return 1
+            def getrandbits(self, k):
+                assert k == 2  # the cut is 1 + a draw below 3
+                return self.cut - 1
 
-        a, b = (1, 2, 3), (3, 2, 1)
-        c1, c2 = crossover(a, b, 0.8, ForcedCut())
-        assert c1 == (1, 2, 1)
-        assert c2 == (3, 2, 3)
+        # each cut gives different children
+        a, b = (1, 1, 1, 1), (2, 2, 2, 2)
+        assert crossover(a, b, 0.8, ForcedCut(1)) == ((1, 2, 2, 2), (2, 1, 1, 1))
+        assert crossover(a, b, 0.8, ForcedCut(2)) == ((1, 1, 2, 2), (2, 2, 1, 1))
+        assert crossover(a, b, 0.8, ForcedCut(3)) == ((1, 1, 1, 2), (2, 2, 2, 1))
 
     def test_rate_zero_is_identity(self):
         rng = random.Random(1)
@@ -47,7 +54,7 @@ class TestCrossover:
 class TestMutate:
     def test_rate_zero_is_identity(self):
         s = (1, 2, 3)
-        assert mutate(s, 0.0, 3, random.Random(0)) == s
+        assert mutate(s, 0.0, 3, random.Random(0)) is s
 
     def test_rate_one_two_periods_flips_every_gene(self):
         s = (1, 2, 1, 2)
@@ -88,14 +95,15 @@ class TestTournamentSelect:
         pop, keys = self._pop_with_keys(paper_instance, [(1, 2, 1, 2, 2, 3, 3), (1,) * 7])
 
         class BothDrawn(random.Random):
-            # force the tournament to contain the feasible/infeasible pair
+            # force each tournament to draw the feasible/infeasible pair, in
+            # both orders: (1, 0), then (0, 1)
             def __init__(self):
                 super().__init__()
-                self._next = 0
+                self._next = itertools.cycle((1, 0, 0, 1))
 
-            def randrange(self, *a):
-                self._next ^= 1
-                return self._next
+            def getrandbits(self, k):
+                assert k == 2  # an index below 2
+                return next(self._next)
 
         rng = BothDrawn()
         for _ in range(100):
@@ -114,6 +122,109 @@ class TestTournamentSelect:
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             tournament_select([], 3, random.Random(0))
+
+
+def _randrange_crossover(a, b, rate, rng):
+    if len(a) < 2 or rng.random() >= rate:
+        return a, b
+    cut = rng.randrange(1, len(a))
+    return a[:cut] + b[cut:], b[:cut] + a[cut:]
+
+
+def _randrange_mutate(genes, rate, n_periods, rng):
+    if n_periods < 2:
+        return genes
+    out = list(genes)
+    for i, g in enumerate(genes):
+        if rng.random() < rate:
+            new = rng.randrange(1, n_periods)
+            out[i] = new if new < g else new + 1
+    return tuple(out)
+
+
+def _randrange_tournament(keys, k, rng):
+    best_i = rng.randrange(len(keys))
+    for _ in range(k - 1):
+        i = rng.randrange(len(keys))
+        if keys[i] < keys[best_i]:
+            best_i = i
+    return keys[best_i][2]
+
+
+class _Keys:
+    """n candidate keys, made on demand: key i ranks by (i * 7919) mod n."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.n:
+            raise IndexError(i)
+        return (0.0, (i * 7919) % self.n, (i,))
+
+
+def _bounds(hi):
+    """Integers in 1..hi, with every power of two and its neighbours likely."""
+    edges = sorted({2**k + d for k in range(hi.bit_length()) for d in (-1, 0, 1)} & set(range(1, hi + 1)))
+    return st.one_of(st.sampled_from(edges), st.integers(1, hi))
+
+
+class TestDrawsMatchRandrange:
+    """Each index draw takes the same Mersenne Twister words as `randrange`.
+
+    The GA draws an index below n as getrandbits(n.bit_length()), redrawn
+    while it is >= n. These compare each GA function with its definition in
+    terms of `randrange`, draw for draw, and the generator states after.
+    """
+
+    SEEDS = st.integers(0, 2**64)
+
+    @given(SEEDS, _bounds(2**20), st.integers(1, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_index_below_n(self, seed, n, draws):
+        rng, ref = random.Random(seed), random.Random(seed)
+        keys = _Keys(n)
+        for _ in range(draws):
+            assert tournament_select(keys, 1, rng) == (ref.randrange(n),)
+        assert rng.getstate() == ref.getstate()
+
+    @given(SEEDS, _bounds(2**20), st.integers(1, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_random_periods(self, seed, n_periods, n_projects):
+        rng, ref = random.Random(seed), random.Random(seed)
+        want = tuple(ref.randrange(1, n_periods + 1) for _ in range(n_projects))
+        assert _random_periods(n_projects, n_periods, rng) == want
+        assert rng.getstate() == ref.getstate()
+
+    @given(SEEDS, _bounds(2**20), st.integers(1, 6), st.integers(1, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_tournament(self, seed, n, k, draws):
+        rng, ref = random.Random(seed), random.Random(seed)
+        keys = _Keys(n)
+        for _ in range(draws):
+            assert tournament_select(keys, k, rng) == _randrange_tournament(keys, k, ref)
+        assert rng.getstate() == ref.getstate()
+
+    @given(SEEDS, _bounds(2**20), st.integers(1, 12), st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_mutate(self, seed, n_periods, n_genes, rate):
+        rng, ref = random.Random(seed), random.Random(seed)
+        genes = tuple(random.Random(seed + 1).randint(1, n_periods) for _ in range(n_genes))
+        for _ in range(5):
+            assert mutate(genes, rate, n_periods, rng) == _randrange_mutate(genes, rate, n_periods, ref)
+        assert rng.getstate() == ref.getstate()
+
+    @given(SEEDS, _bounds(2**12), st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_crossover(self, seed, n, rate):
+        rng, ref = random.Random(seed), random.Random(seed)
+        a, b = tuple(range(n)), tuple(range(n, 2 * n))
+        for _ in range(5):
+            assert crossover(a, b, rate, rng) == _randrange_crossover(a, b, rate, ref)
+        assert rng.getstate() == ref.getstate()
 
 
 class TestGaConfig:

@@ -1,0 +1,130 @@
+"""`optfolio solve` output pinned byte for byte.
+
+Each case runs `solve` in-process and compares sha256 digests of its stdout
+and of its `--trace-out` CSV with digests recorded when the cases were added.
+A change to the GA's hot path must draw the same random words in the same
+order, so these digests may only change together with a deliberate change
+of the GA's results, which then says so.
+
+Solve stdout holds no trace mean, so it does not depend on how `sum` rounds
+(compensated from Python 3.12 on). The trace CSV prints that mean to six
+decimals, which a last-bit difference does not reach in these cases.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+import optfolio as of
+from optfolio.cli import main
+
+DESK = ("--seed", "3", "--restarts", "5")
+
+# name -> (generate_instance arguments, or None for the paper fixture; solve flags)
+CASES = {
+    "paper-seed-1": (None, ("--seed", "1")),
+    "paper-seed-9-restarts-3": (None, ("--seed", "9", "--restarts", "3")),
+    "paper-extremes": (
+        None,
+        ("--seed", "2", "--tournament", "1", "--elites", "0", "--crossover-rate", "1",
+         "--mutation-rate", "1", "--population", "7", "--generations", "30"),
+    ),
+    "desk-5x2": ({"n_projects": 5, "n_periods": 2, "seed": 11}, DESK),
+    "desk-6x3": ({"n_projects": 6, "n_periods": 3, "seed": 12}, DESK),
+    "desk-7x2": ({"n_projects": 7, "n_periods": 2, "seed": 13}, DESK),
+    "desk-8x3": ({"n_projects": 8, "n_periods": 3, "seed": 14}, DESK),
+    "single-period": ({"n_projects": 4, "n_periods": 1, "seed": 15}, ("--seed", "6")),
+    # 99 random genomes x 30 genes >= BATCH_MIN_GENES: the numpy batch path runs
+    "batch-30x3": ({"n_projects": 30, "n_periods": 3, "seed": 16}, ("--seed", "4", "--generations", "60")),
+    "large-200x6": (
+        {"n_projects": 200, "n_periods": 6, "edge_density": 0.05, "seed": 17},
+        ("--seed", "5", "--generations", "3"),
+    ),
+}
+
+# name -> (exit code, sha256 of stdout, sha256 of the trace CSV)
+PINNED = {
+    "paper-seed-1": (
+        0,
+        "7f57377628c5b6b27168acdbfb365b58c41cf5c1fb9729b17bccde13de506312",
+        "dfb77602b1c68766cdd47a0e09e4802ac8a19e889b9c91e7415753d4bbc9fea0",
+    ),
+    "paper-seed-9-restarts-3": (
+        0,
+        "eabe36c90c6f1c32c5ccfc6240f0363c616c765a949759a429e8ca6d637964b7",
+        "34092ac3a3d7b46190e80d7e52fd716113a6736415f02e9c1681fdf22ad184ea",
+    ),
+    "paper-extremes": (
+        2,
+        "a7577e96dd889fe5e40c10f54f8ced7cf12bae18d3d90bc7e88cb4058d2df793",
+        "334b3d89ac150dc5bd615a2de44d8f2a4ef67a233381d2af67cee5e597101897",
+    ),
+    "desk-5x2": (
+        0,
+        "bb0d9af5ac999ebb5e20d7ea3ef36b6c35b2196e50c64f0277fd5d9d750b785d",
+        "25fae5f4b4e0da8d005a37c8a74041d8d355592c8cba4bed7737163f7e334bb4",
+    ),
+    "desk-6x3": (
+        0,
+        "f098a9596f06fa16c9e45f6bbd25434b0ef19c878d226cfc17e5bcf6d3954941",
+        "54db7df7f07213852d1b42ad2e5557a353cd69394d7713676ffdbacf410ce1de",
+    ),
+    "desk-7x2": (
+        0,
+        "4447a13996673962d25de69f69230175b19e6f661771c849d467194d41b3d50e",
+        "4866ad30a721539b6566a41261291da0ba66357509d1386d80ac768a2170f92c",
+    ),
+    "desk-8x3": (
+        0,
+        "99db4e64acf395ec9995ae04fe5d07115c1fe8ea3fe9c9b61285fcea50e5fc04",
+        "77b0a802025d7f1ff702e58fa3749ec6f693a5adff6bdc25cca3402861182ac3",
+    ),
+    "single-period": (
+        0,
+        "705be9c4f70b87d3d03d0d0f3d5e26031a428ad2766322dbc0745d4c75854332",
+        "aed9c88225e705c777d9bcb403af81e3d9f1fee1a4827895efb9fcdb0e98a682",
+    ),
+    "batch-30x3": (
+        0,
+        "aa149e1730827e6ad0284ba6021b4cd1f49ae080e91736476d3cc4cc06c7fb99",
+        "f93b676f4e45277dc346471d6abf559b52ec62f9b7171e19234e8c07a02b3524",
+    ),
+    "large-200x6": (
+        2,
+        "40acde9a0ae451824411ea16a21eb873dc72964de38a689858d1ab3eb20ef9d3",
+        "1007b6d1362199791f3bdda5c538e57566401b025e2109ed746baf2101acf774",
+    ),
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _solve(name: str, tmp_path) -> tuple[int, str, str]:
+    gen, flags = CASES[name]
+    if gen is None:
+        path = of.paper_fixture_path()
+    else:
+        path = str(tmp_path / f"{name}.json")
+        of.save_instance(of.generate_instance(**gen), path)
+    trace = tmp_path / f"{name}.csv"
+    out = io.StringIO()
+    code = main(["solve", path, *flags, "--trace-out", str(trace)], out=out)
+    return code, _digest(out.getvalue()), _digest(trace.read_text())
+
+
+def test_batch_case_runs_the_batch_path(tmp_path, monkeypatch):
+    from optfolio import batch
+
+    calls = []
+    score_batch = batch.score_batch
+    monkeypatch.setattr(batch, "score_batch", lambda *a, **k: calls.append(1) or score_batch(*a, **k))
+    _solve("batch-30x3", tmp_path)
+    assert calls
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_solve_output_is_pinned(name, tmp_path):
+    assert _solve(name, tmp_path) == PINNED[name]
