@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import optfolio as of
 from optfolio.valuation import build_tables, score
@@ -106,6 +108,53 @@ class TestEnumerateOptimal:
                     assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
         assert 0 < feasible_seen < 40
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_unpruned_brute_force_at_the_budget_boundary(self, data):
+        # budgets that never bind (the count-only walk memoizes), that bind
+        # only for the costliest selections q_max allows, or that equal a
+        # subset's cost sum; returns differ by period, so the bound has
+        # subtrees to skip
+        n_p, N = data.draw(st.integers(3, 7)), data.draw(st.integers(2, 3))
+        inst = of.generate_instance(
+            n_p,
+            N,
+            edge_density=data.draw(st.floats(0.0, 0.6)),
+            partial_fraction=data.draw(st.floats(0.0, 1.0)),
+            seed=data.draw(st.integers(0, 10**6)),
+        )
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        projects = tuple(
+            replace(p, return_pv=tuple(r * rng.uniform(0.5, 1.5) for r in p.return_pv))
+            for p in inst.projects
+        )
+        # the q_max largest costs bound any period's spend
+        heaviest = sum(sorted((p.cost_pv[0] for p in projects), reverse=True)[: inst.q_max[0]])
+        budget = data.draw(st.sampled_from(("slack", "tight", "subset")))
+        scale = 2.0 if budget == "slack" else data.draw(st.floats(0.4, 1.1))
+        q_min = tuple(data.draw(st.integers(0, hi)) for hi in inst.q_max)
+        if sum(q_min) > n_p:
+            q_min = (0,) * N
+        inst = replace(
+            inst,
+            projects=projects,
+            budgets=(scale * heaviest,) * N,
+            q_min=q_min,
+            total_dependency_mode=data.draw(st.sampled_from(("hard", "soft"))),
+        )
+        if data.draw(st.booleans()):
+            inst = reverse_ids(inst)
+        if budget == "subset":
+            inst = budget_at_subset_sum(inst, rng)
+        assert of.validate_instance(inst) == []
+        count, best = brute_force(inst)
+        res = of.enumerate_optimal(inst)
+        assert res.feasible_count == count
+        if best is None:
+            assert res.best_schedule is None
+        else:
+            assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
+
     def test_budget_equal_to_a_cost_sum_is_met(self):
         # backtracking from 0.2 + 0.4 in period 1 by subtracting 0.4 would
         # leave 0.20000000000000007, and adding 0.7 to that exceeds the
@@ -208,6 +257,46 @@ class TestCountFeasible:
             q_max=(2, 2),
         )
         assert of.enumerate_optimal(inst).feasible_count == 4
+
+    @staticmethod
+    def period_valued(n_p, N, q_max, edges=()):
+        """Equal costs and period-dependent returns: few leaves tie, and budgets never bind."""
+        return of.Instance(
+            n_projects=n_p,
+            n_periods=N,
+            projects=tuple(
+                of.Project(
+                    id=j + 1,
+                    label=f"P{j + 1}",
+                    cost_pv=(10.0,) * N,
+                    return_pv=tuple(20.0 + (7 * j + 3 * k) % 11 for k in range(N)),
+                )
+                for j in range(n_p)
+            ),
+            edges=edges,
+            budgets=(10.0 * n_p + 1.0,) * N,
+            q_min=(0,) * N,
+            q_max=q_max,
+        )
+
+    def test_closed_form_without_edges(self):
+        # period counts (5, 5, 4) in any order: 3 * 14! / (5! 5! 4!)
+        inst = self.period_valued(14, 3, (5, 5, 5))
+        f = math.factorial
+        assert of.enumerate_optimal(inst).feasible_count == 3 * f(14) // (f(5) * f(5) * f(4)) == 756756
+
+    def test_closed_form_with_hard_chains(self):
+        # a chain of L projects takes a non-decreasing period sequence,
+        # C(L + 2, 2) of them over three periods
+        lengths, edges, first = (3, 3, 3, 3, 2), [], 1
+        for length in lengths:
+            for pred in range(first, first + length - 1):
+                edges.append(of.DependencyEdge(pred, pred + 1, 1.0, 5.0))
+            first += length
+        inst = self.period_valued(14, 3, (14, 14, 14), tuple(edges))
+        res = of.enumerate_optimal(inst)
+        assert res.feasible_count == math.prod(math.comb(n + 2, 2) for n in lengths) == 60000
+        assert res.best_breakdown.feasible
 
     def test_paper_fixture_regression_value(self, paper_instance):
         # pinned at first computation: exactly two feasible schedules

@@ -1,10 +1,17 @@
-"""`optfolio solve` output pinned byte for byte.
+"""`optfolio solve`, `exact` and `sweep --method exact` output pinned byte for byte.
 
-Each case runs `solve` in-process and compares sha256 digests of its stdout
-and of its `--trace-out` CSV with digests recorded when the cases were added.
-A change to the GA's hot path must draw the same random words in the same
-order, so these digests may only change together with a deliberate change
-of the GA's results, which then says so.
+Each solve case runs `solve` in-process and compares sha256 digests of its
+stdout and of its `--trace-out` CSV with digests recorded when the cases
+were added. A change to the GA's hot path must draw the same random words in
+the same order, so these digests may only change together with a deliberate
+change of the GA's results, which then says so.
+
+The exact cases do the same for the oracle: the schedule, its breakdown,
+`feasible_count` and the lexicographic tie-break all print, so a faster
+search must reproduce every byte. Their instances cover budgets that bind
+(the n_p=12 generator instance) and budgets that never bind with hard
+chains (the n_p=13 instance), where the search can count leaves it need not
+value.
 
 Solve stdout holds no trace mean, so it does not depend on how `sum` rounds
 (compensated from Python 3.12 on). The trace CSV prints that mean to six
@@ -13,6 +20,8 @@ decimals, which a last-bit difference does not reach in these cases.
 
 import hashlib
 import io
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -128,3 +137,81 @@ def test_batch_case_runs_the_batch_path(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", CASES)
 def test_solve_output_is_pinned(name, tmp_path):
     assert _solve(name, tmp_path) == PINNED[name]
+
+
+def chain_instance() -> of.Instance:
+    """n_p=13, N=3: hard chains of lengths 3, 3, 3, 2, 2 over projects 1..13 in id
+    order, six partial edges, and budgets no q_max-sized selection can exceed.
+
+    Every valuation differs by period through the options and partial
+    factors, while the feasible set depends only on the chains and q_max:
+    20178 schedules.
+    """
+    inst = of.generate_instance(13, 3, edge_density=0.0, seed=1213)
+    rng = random.Random("pinned-chains")
+    edges, first = [], 1
+    for length in (3, 3, 3, 2, 2):
+        for pred in range(first, first + length - 1):
+            edges.append(of.DependencyEdge(pred, pred + 1, 1.0, rng.uniform(0.0, 20.0)))
+        first += length
+    pairs = {(e.predecessor, e.dependent) for e in edges}
+    while len(edges) < 14:
+        pred, dep = sorted(rng.sample(range(1, 14), 2))
+        if (pred, dep) not in pairs:
+            pairs.add((pred, dep))
+            edges.append(of.DependencyEdge(pred, dep, rng.uniform(0.05, 0.95), rng.uniform(0.0, 20.0)))
+    costs = sorted((max(p.cost_pv) for p in inst.projects), reverse=True)
+    budget = sum(costs[: max(inst.q_max)]) + 1.0
+    return replace(inst, edges=tuple(edges), budgets=(budget,) * 3)
+
+
+GEN_12 = {"n_projects": 12, "n_periods": 3, "edge_density": 0.1, "seed": 5}
+
+# name -> (command, generate_instance arguments, None for the paper fixture or
+# "chains" for chain_instance; flags)
+EXACT_CASES = {
+    "exact-paper": ("exact", None, ()),
+    "exact-desk-5x2": ("exact", CASES["desk-5x2"][0], ()),
+    "exact-desk-6x3": ("exact", CASES["desk-6x3"][0], ()),
+    "exact-desk-7x2": ("exact", CASES["desk-7x2"][0], ()),
+    "exact-desk-8x3": ("exact", CASES["desk-8x3"][0], ()),
+    "exact-gen-12x3": ("exact", GEN_12, ()),
+    "exact-chains-13x3": ("exact", "chains", ()),
+    "sweep-exact-12x3": (
+        "sweep", GEN_12, ("--method", "exact", "--qmin-range", "0..1", "--qmax-range", "4..6"),
+    ),
+}
+
+# name -> (exit code, sha256 of stdout)
+EXACT_PINNED = {
+    "exact-paper": (0, "d686522c2b0ddef3c5ec164c54e2d40dfb1d5a5ec2858f2906717c7d254ebbe0"),
+    "exact-desk-5x2": (0, "d324bca88db7aea663473d950781c7b27721976fe5772e4dc9955a31af2650a2"),
+    "exact-desk-6x3": (0, "55638a2ff3791ca34ed9e7b83281405c294da6b4145216a1906e5ecd079b93b5"),
+    "exact-desk-7x2": (0, "8773b02e8e19789a0af9435606892aa52b060454123010e7498650c6602690a3"),
+    "exact-desk-8x3": (0, "a11e310121167cef1693d9a4dd9d77c278cf4b03fc5df30dcd357a1cd56dc5f9"),
+    "exact-gen-12x3": (0, "06248cf4b9ded3f9a38abe58a49f4b514df47cb32b8bdc395dc17fd59f8e3b60"),
+    "exact-chains-13x3": (0, "123680e527a98f8ec95021d3500c9b6501e9be732918da81e784a4a23da50c6e"),
+    "sweep-exact-12x3": (0, "6d146dfae24f52894be60968c9c09dcb330745768eb75c3cd9379ef855083193"),
+}
+
+
+def _run(name: str, tmp_path) -> tuple[int, str]:
+    command, gen, flags = EXACT_CASES[name]
+    if gen is None:
+        path = of.paper_fixture_path()
+    else:
+        inst = chain_instance() if gen == "chains" else of.generate_instance(**gen)
+        path = str(tmp_path / f"{name}.json")
+        of.save_instance(inst, path)
+    out = io.StringIO()
+    code = main([command, path, *flags], out=out)
+    return code, _digest(out.getvalue())
+
+
+def test_chain_instance_has_the_stated_feasible_count():
+    assert of.enumerate_optimal(chain_instance()).feasible_count == 20178
+
+
+@pytest.mark.parametrize("name", EXACT_CASES)
+def test_exact_output_is_pinned(name, tmp_path):
+    assert _run(name, tmp_path) == EXACT_PINNED[name]
