@@ -42,7 +42,11 @@ def return_present_value(stream: list[float], rate: float, k: int) -> float:
         raise ValueError(f"period index must be >= 1, got {k}")
     if rate < 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
-    at_funding = sum(r / (1.0 + rate) ** t for t, r in enumerate(stream, start=1))
+    # summed left to right: builtin sum() is compensated from Python 3.12,
+    # which would change the digits with the interpreter
+    at_funding = 0.0
+    for t, r in enumerate(stream, start=1):
+        at_funding += r / (1.0 + rate) ** t
     return at_funding / (1.0 + rate) ** (k - 1)
 
 
@@ -156,8 +160,10 @@ def validate_instance(inst: Instance) -> list[str]:
             v.append(f"sum of q_min ({sum(inst.q_min)}) > n_p ({n_p}): no schedule can satisfy the minima")
 
     ids = [p.id for p in inst.projects]
-    # Kahn's algorithm below indexes projects by id, so it needs ids 1..n_p
-    endpoints_known = sorted(ids) == list(range(1, n_p + 1))
+    # Kahn's algorithm below indexes projects by id, so it needs ids 1..n_p;
+    # the length test comes first, so a short list naming a huge n_p costs
+    # nothing here (its length fault is reported above)
+    endpoints_known = len(ids) == n_p and sorted(ids) == list(range(1, n_p + 1))
     if not endpoints_known:
         v.append(f"project ids must be exactly 1..{n_p}, got {sorted(ids)}")
     elif ids != sorted(ids):

@@ -7,8 +7,9 @@ by value on backtracking, and the q_min shortfall is an integer counter.
 So every leaf the search reaches is feasible and is counted without a
 kernel call.
 
-A running value is carried down the recursion, each project's DCF term and
-option sum added once the periods they read are placed. An admissible
+A running value is carried down the recursion: each project's DCF term
+(return times `partial_factor`, less cost) and `option_term` join once the
+periods they read are placed, so each term is the kernel's. An admissible
 bound on the terms still to join (Land and Doig, Econometrica 28, 1960)
 skips every subtree in which no leaf can beat the incumbent; a subtree
 that could tie it is searched. `score` values each leaf whose running value
@@ -40,8 +41,8 @@ from .valuation import (
     Tables,
     _breakdown,
     build_tables,
-    dcf_term,
     option_term,
+    partial_factor,
     score,
 )
 
@@ -110,7 +111,7 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
     headroom = _recursion_headroom()
     if n_p > headroom:
         raise SearchSpaceCapExceeded(n_p, headroom, "search depth n_p", "recursion headroom")
-    cost = tables.cost
+    cost, ret = tables.cost, tables.ret
     budgets, q_min, q_max = tables.budgets, tables.q_min, tables.q_max
 
     # hard precedence edges indexed by the later-assigned endpoint: project
@@ -204,7 +205,7 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
             per[i] = k
             v = value
             for j in dcf_js:
-                v += dcf_term(j, per, tables)
+                v += ret[j][per[j] - 1] * partial_factor(j, per, tables) - cost[j][per[j] - 1]
             for j in option_js:
                 v += option_term(j, per, tables)
             if not remaining:

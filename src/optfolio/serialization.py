@@ -219,7 +219,8 @@ def load_instance(path: str) -> Instance:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # the decoder recurses once per nesting level
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InstanceFormatError(f"{path}: malformed JSON: {exc}") from exc
     return instance_from_dict(doc)
 

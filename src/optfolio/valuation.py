@@ -14,8 +14,9 @@ and the oracle) takes an `Instance` or its `Tables` and starts with
 times compiles it once and passes the `Tables` on. `score` is the
 hot-path kernel the solvers call on plain period tuples; `evaluate`, and
 each solver for the schedule it returns, report the same accounting in
-full. All run `_account`, so they agree exactly. `candidate_key` ranks
-scored period tuples feasibility-first.
+full. All run `_account`, whose per-project rules `partial_factor` and
+`option_term` the oracle also calls, so they agree exactly. `candidate_key`
+ranks scored period tuples feasibility-first.
 """
 
 from __future__ import annotations
@@ -144,19 +145,12 @@ def _account(per: tuple[int, ...], t: Tables, rows: list | None = None):
     cnt_k = [0] * t.n_periods
     dcf_total = 0.0
     opt_total = 0.0
-    for k, cost_i, ret_i, fin, oout in zip(per, t.cost, t.ret, t.factor_in, t.options_out):
-        f = 1.0
-        for pi, keep in fin:
-            if k < per[pi]:
-                f *= keep
+    for j, (k, cost_i, ret_i) in enumerate(zip(per, t.cost, t.ret)):
+        f = partial_factor(j, per, t)
         c = cost_i[k - 1]
         eff = ret_i[k - 1] * f
         dcf = eff - c
-        # stays the int 0 when nothing accrues, so the breakdown prints 0
-        o = 0
-        for di, val in oout:
-            if k < per[di]:
-                o += val
+        o = option_term(j, per, t)
         dcf_total += dcf
         opt_total += o
         cost_k[k - 1] += c
@@ -172,24 +166,25 @@ def _account(per: tuple[int, ...], t: Tables, rows: list | None = None):
     return cost_k, cnt_k, prec, budget, card, dcf_total + opt_total
 
 
-def dcf_term(j: int, per, t: Tables) -> float:
-    """Project j's DCF term under `per`, bit-identical to `_account`'s.
+def partial_factor(j: int, per, t: Tables) -> float:
+    """Product of (1 - level) over project j's factor edges whose predecessor is funded strictly later.
 
     Reads only the periods of j and of its factor predecessors, so a
-    search can add it as soon as those are placed.
+    search can apply it as soon as those are placed.
     """
     k = per[j]
     f = 1.0
     for pi, keep in t.factor_in[j]:
         if k < per[pi]:
             f *= keep
-    return t.ret[j][k - 1] * f - t.cost[j][k - 1]
+    return f
 
 
 def option_term(j: int, per, t: Tables) -> float:
-    """Option value project j accrues under `per`, bit-identical to `_account`'s.
+    """Option value project j accrues: its option edges whose dependent is funded strictly later.
 
-    Reads only the periods of j and of its option dependents.
+    Reads only the periods of j and of its option dependents. Stays the
+    int 0 when nothing accrues, so the breakdown prints 0.
     """
     k = per[j]
     o = 0

@@ -426,6 +426,30 @@ class TestRefusedInput:
         assert out == ""
         assert "budgets has 1 entries, expected N (1000000000)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [("exact",), ("evaluate", "1")])
+    def test_deeply_nested_json_exits_one(self, tmp_path, capsys, argv):
+        # the decoder recurses per level and raises RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        command, *rest = argv
+        code, out = run_cli(command, str(path), *rest)
+        assert code == 1
+        assert out == ""
+        assert "error:" in capsys.readouterr().err
+
+    def test_project_count_beyond_project_list_refused_without_id_range(self, tmp_path, capsys):
+        # a few bytes naming n_p = 1e12 with no projects: listing ids 1..n_p
+        # to compare them would need terabytes
+        doc = {"n_p": 10**12, "N": 1, "budgets": [10.0], "q_min": [0], "q_max": [1], "projects": []}
+        path = tmp_path / "huge_np.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli("exact", str(path))
+        assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "projects list has 0 entries, expected n_p (1000000000000)" in err
+        assert "project ids must be exactly 1..1000000000000, got []" in err
+
 
 def _count_calls(monkeypatch, home: str, name: str) -> list:
     """Count calls of `home.name` through every optfolio module that binds it."""

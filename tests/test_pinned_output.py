@@ -13,13 +13,16 @@ search must reproduce every byte. Their instances cover budgets that bind
 chains (the n_p=13 instance), where the search can count leaves it need not
 value.
 
-Solve stdout holds no trace mean, so it does not depend on how `sum` rounds
-(compensated from Python 3.12 on). The trace CSV prints that mean to six
-decimals, which a last-bit difference does not reach in these cases.
+Every float sum that reaches output is an explicit left-to-right loop, not
+builtin `sum`, which is compensated from Python 3.12 on; so every digest
+here holds on each Python that CI runs. The return-stream case pins `evaluate` output
+whose PV tables the loader derives from raw costs and return streams, whose
+digits a compensated sum changes.
 """
 
 import hashlib
 import io
+import json
 import random
 from dataclasses import replace
 
@@ -215,3 +218,32 @@ def test_chain_instance_has_the_stated_feasible_count():
 @pytest.mark.parametrize("name", EXACT_CASES)
 def test_exact_output_is_pinned(name, tmp_path):
     assert _run(name, tmp_path) == EXACT_PINNED[name]
+
+
+def return_stream_document() -> dict:
+    """n_p=5, N=3 at rate 0.07, each project given by a raw cost and a return stream."""
+    rng = random.Random("pinned-return-streams")
+    projects = []
+    for i in range(1, 6):
+        n = rng.randint(4, 9)
+        projects.append({
+            "id": i,
+            "raw_cost": round(rng.uniform(10.0, 40.0), 2),
+            "return_stream": [round(rng.uniform(1.0, 15.0), 3) for _ in range(n)],
+        })
+    return {
+        "n_p": 5, "N": 3, "rate": 0.07, "budgets": [100.0] * 3, "q_min": [0] * 3, "q_max": [5] * 3,
+        "projects": projects,
+        "edges": [{"predecessor": 1, "dependent": 2, "level": 0.5, "option_value": 2.5}],
+    }
+
+
+def test_return_stream_evaluate_output_is_pinned(tmp_path):
+    # recorded on Python 3.11; builtin sum() gives other digits from 3.12 on
+    path = tmp_path / "streams.json"
+    path.write_text(json.dumps(return_stream_document()))
+    out = io.StringIO()
+    code = main(["evaluate", str(path), "2,1,1,3,2"], out=out)
+    assert (code, _digest(out.getvalue())) == (
+        0, "cdd63c39e54821a927ed876fe869d69a9659bc7c4e8eccba124118987ca9bd6e"
+    )

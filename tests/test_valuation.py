@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import optfolio as of
-from optfolio.valuation import build_tables, dcf_term, option_term, score
+from optfolio.valuation import build_tables, option_term, partial_factor, score
 
 
 def make_instance(costs, returns, edges, budgets, q_min, q_max, mode="hard"):
@@ -211,10 +211,13 @@ class TestEvaluate:
 
     def test_score_agrees_exactly_on_generated_instances(self):
         # non-integer values and many edges per project: any difference in
-        # summation order between the paths shows up here
+        # summation order between the paths shows up here. The per-project
+        # rules the oracle sums must give the breakdown's values and types
+        # (an option sum with nothing accrued stays the int 0)
         import random
 
         rng = random.Random(2806)
+        partial_in_mode = set()
         for seed in range(300):
             inst = of.generate_instance(
                 rng.randint(3, 60),
@@ -234,9 +237,16 @@ class TestEvaluate:
                 assert value == b.total_value
                 assert viol == b.violation_score
                 assert (viol == 0.0) == b.feasible
-                for j in range(inst.n_projects):
-                    assert dcf_term(j, s.period_of, tables) == b.dcf_values[j]
-                    assert option_term(j, s.period_of, tables) == b.option_accrued[j]
+                per = s.period_of
+                for j, k in enumerate(per):
+                    f = partial_factor(j, per, tables)
+                    o = option_term(j, per, tables)
+                    assert (f, type(f)) == (b.partial_factors[j], type(b.partial_factors[j]))
+                    assert (o, type(o)) == (b.option_accrued[j], type(b.option_accrued[j]))
+                    assert tables.ret[j][k - 1] * f - tables.cost[j][k - 1] == b.dcf_values[j]
+                    if 0.0 < f < 1.0:
+                        partial_in_mode.add(inst.total_dependency_mode)
+        assert partial_in_mode == {"hard", "soft"}
 
     def test_no_edges_value_is_period_symmetric(self):
         # identical PV tables per period, no edges: ordering cannot matter
