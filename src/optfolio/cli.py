@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 input/usage error, 2 infeasible result from
 solve or exact, 3 enumeration cap exceeded (N^n_p over --cap, or more
 projects than the exact search can recurse through). evaluate and sweep
 exit 0 whenever they print a result: the breakdown or the row reports an
-infeasible schedule or cell.
+infeasible schedule or cell. A command that exits 1 or 3 prints nothing on
+stdout.
 
 Defaults live only in the library: each GA and gen flag stores under the
 GaConfig field or generate_instance parameter it sets, and only the flags
@@ -132,13 +133,13 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     build_tables(inst)
     qmins = _parse_range(args.qmin_range, "--qmin-range")
     qmaxs = _parse_range(args.qmax_range, "--qmax-range")
-    # every usage error is raised before the header is written
     ga_fields = _given(args, GaConfig)
     if args.method == "exact" and ga_fields:
         flags = ", ".join(flag for flag, dest, _kind in _GA_FLAGS if dest in ga_fields)
         raise ValueError(f"--method exact takes no GA flags, got {flags}")
     cfg = GaConfig(**ga_fields) if args.method == "ga" else None
-    out.write("q_min,q_max,status,value,schedule\n")
+    # written once at the end, so a cell that fails leaves stdout empty
+    rows = ["q_min,q_max,status,value,schedule\n"]
     for qmin in qmins:
         for qmax in qmaxs:
             cell = replace(
@@ -153,14 +154,15 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
                 else:
                     res = run_ga(cell, cfg)
             except InvalidInstanceError:
-                out.write(f"{qmin},{qmax},skipped,,\n")
+                rows.append(f"{qmin},{qmax},skipped,,\n")
                 continue
             best = res.best_breakdown  # None when the oracle finds no feasible schedule
             if best is not None and best.feasible:
                 sched_txt = "-".join(map(str, res.best_schedule.period_of))
-                out.write(f"{qmin},{qmax},ok,{best.total_value:.6f},{sched_txt}\n")
+                rows.append(f"{qmin},{qmax},ok,{best.total_value:.6f},{sched_txt}\n")
             else:
-                out.write(f"{qmin},{qmax},infeasible,,\n")
+                rows.append(f"{qmin},{qmax},infeasible,,\n")
+    out.write("".join(rows))
     return EXIT_OK
 
 

@@ -187,26 +187,35 @@ def validate_instance(inst: Instance) -> list[str]:
                     v.append(f"project {p.id}: return_pv[{k}] must be finite, got {r}")
                 elif r < 0:
                     v.append(f"project {p.id}: return_pv[{k}] must be >= 0, got {r}")
-        # the match tests are written so that a NaN counts as a mismatch
+        # the match tests are written so that a NaN counts as a mismatch, and
+        # a rate whose discount factor (1 + rate)^t overflows is a violation
         if p.raw_cost is not None and len(p.cost_pv) == N and rate_ok:
-            for k in range(1, N + 1):
-                expect = cost_present_value(p.raw_cost, inst.rate, k)
-                if not abs(expect - p.cost_pv[k - 1]) <= MONEY_TOL:
-                    v.append(
-                        f"project {p.id}: cost_pv[{k}] = {p.cost_pv[k - 1]} does not match "
-                        f"raw_cost discounted to period {k} ({expect})"
-                    )
+            try:
+                for k in range(1, N + 1):
+                    expect = cost_present_value(p.raw_cost, inst.rate, k)
+                    if not abs(expect - p.cost_pv[k - 1]) <= MONEY_TOL:
+                        v.append(
+                            f"project {p.id}: cost_pv[{k}] = {p.cost_pv[k - 1]} does not match "
+                            f"raw_cost discounted to period {k} ({expect})"
+                        )
+            except OverflowError:
+                v.append(f"project {p.id}: raw_cost cannot be discounted at rate {inst.rate}")
         if p.return_stream is not None and len(p.return_pv) == N and rate_ok:
             if not p.return_stream:
                 v.append(f"project {p.id}: return_stream must be non-empty when given")
             else:
-                for k in range(1, N + 1):
-                    expect = return_present_value(list(p.return_stream), inst.rate, k)
-                    if not abs(expect - p.return_pv[k - 1]) <= MONEY_TOL:
-                        v.append(
-                            f"project {p.id}: return_pv[{k}] = {p.return_pv[k - 1]} does not match "
-                            f"return_stream discounted to period {k} ({expect})"
-                        )
+                try:
+                    for k in range(1, N + 1):
+                        expect = return_present_value(list(p.return_stream), inst.rate, k)
+                        if not abs(expect - p.return_pv[k - 1]) <= MONEY_TOL:
+                            v.append(
+                                f"project {p.id}: return_pv[{k}] = {p.return_pv[k - 1]} does "
+                                f"not match return_stream discounted to period {k} ({expect})"
+                            )
+                except OverflowError:
+                    v.append(
+                        f"project {p.id}: return_stream cannot be discounted at rate {inst.rate}"
+                    )
 
     id_set = set(ids)
     seen_pairs = set()

@@ -17,11 +17,13 @@ can beat the incumbent, and must agree with that value; the value it
 returns is the one reported, and the breakdown of the reported schedule is
 the kernel's.
 
-A skipped subtree's feasible leaves are still counted, by a walk that
-applies the same tests and values nothing. Below a node where no budget
-can bind any more, that count depends only on the per-period counts and on
-the periods of the placed endpoints of hard edges crossing the depth, so
-it is memoized on them.
+One walk does both jobs: it returns the number of feasible completions
+of the placed prefix. Below a child the bound skips it carries no running
+value, so that subtree's leaves pass the same tests and are counted, and
+none is valued. Below such a node where no budget can bind any more, the
+count depends only on the per-period counts and on the periods of the
+placed endpoints of hard edges crossing the depth, so it is memoized on
+them.
 
 The recursion is one level per project, so an instance with more projects
 than the interpreter's remaining stack allows is refused like one over the
@@ -53,9 +55,9 @@ DEFAULT_CAP = 10**7
 VALUE_RTOL = 1e-9
 
 # relative margin below a budget that a period's spend plus its largest
-# possible remaining spend must stay under before the count-only walk stops
-# testing budgets; a float sum of n positive costs is within n * 2**-53 of
-# its exact value, relatively, so this covers any n below 10**6
+# possible remaining spend must stay under before the walk below a skipped
+# child stops testing budgets; a float sum of n positive costs is within
+# n * 2**-53 of its exact value, relatively, so this covers any n below 10**6
 BUDGET_RTOL = 1e-9
 
 
@@ -162,7 +164,6 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
 
     best_per: tuple[int, ...] | None = None
     best_value = float("-inf")
-    feasible_count = 0
 
     per = [0] * n_p
     spent = [0.0] * N
@@ -182,47 +183,6 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
             best_value = exact
             best_per = periods
 
-    def dfs(i: int, value: float, shortfall: int) -> None:
-        nonlocal feasible_count
-        remaining = n_p - i - 1
-        cost_i = cost[i]
-        dcf_js, option_js = dcf_at[i], option_at[i]
-        reach_next = reach[i + 1]
-        lo, hi = 1, N
-        for other in after_at[i]:
-            if per[other] > lo:
-                lo = per[other]
-        for other in before_at[i]:
-            if per[other] < hi:
-                hi = per[other]
-        for k in range(lo, hi + 1):
-            old, n = spent[k - 1], count[k - 1]
-            if n >= q_max[k - 1] or old + cost_i[k - 1] > budgets[k - 1]:
-                continue
-            short = shortfall - (n < q_min[k - 1])
-            if short > remaining:
-                continue
-            per[i] = k
-            v = value
-            for j in dcf_js:
-                v += ret[j][per[j] - 1] * partial_factor(j, per, tables) - cost[j][per[j] - 1]
-            for j in option_js:
-                v += option_term(j, per, tables)
-            if not remaining:
-                feasible_count += 1
-                if v + tol > best_value:
-                    consider(v)
-                continue
-            count[k - 1] = n + 1
-            spent[k - 1] = old + cost_i[k - 1]
-            if v + reach_next <= best_value:
-                feasible_count += count_walk(i + 1, short, is_slack(i + 1))
-            else:
-                dfs(i + 1, v, short)
-            count[k - 1] = n
-            # restored by value: subtracting the cost back can drift the sum
-            spent[k - 1] = old
-
     memo: dict[tuple, int] = {}
     # built at the first depth that needs them: limits[i][k - 1][c] is the
     # period-k spend below which a node at depth i with c projects in period
@@ -233,12 +193,15 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
     limits: list[list[list[float]] | None] = [None] * n_p
     crossing: list[list[int]] = []
 
-    def count_walk(i: int, shortfall: int, slack: bool) -> int:
-        """Feasible completions of `per[:i]`, by the tests `dfs` applies, valuing none.
+    def walk(i: int, value: float | None, shortfall: int, slack: bool) -> int:
+        """Feasible completions of `per[:i]`, scoring those that can beat the incumbent.
 
-        Below a `slack` node (see `is_slack`) the budget tests always pass,
-        so they are skipped and each count is memoized; the last depth is
-        not memoized, as counting its periods costs less than a lookup.
+        `value` is the running value of `per[:i]`, or None below a child the
+        bound skips: there leaves are counted and none is valued. Only such
+        a node can be `slack` (see `is_slack`); below it the budget tests
+        always pass, so they are skipped and each count is memoized. The
+        last depth is not memoized, as counting its periods costs less than
+        a lookup.
         """
         remaining = n_p - i - 1
         memoize = slack and remaining
@@ -251,6 +214,8 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
             if known is not None:
                 return known
         cost_i = cost[i]
+        dcf_js, option_js = dcf_at[i], option_at[i]
+        reach_next = reach[i + 1]
         total = 0
         lo, hi = 1, N
         for other in after_at[i]:
@@ -266,14 +231,26 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
             short = shortfall - (n < q_min[k - 1])
             if short > remaining:
                 continue
+            per[i] = k
+            v = value
+            if v is not None:
+                for j in dcf_js:
+                    v += ret[j][per[j] - 1] * partial_factor(j, per, tables) - cost[j][per[j] - 1]
+                for j in option_js:
+                    v += option_term(j, per, tables)
             if not remaining:
                 total += 1
+                if v is not None and v + tol > best_value:
+                    consider(v)
                 continue
-            per[i] = k
             count[k - 1] = n + 1
             spent[k - 1] = old + cost_i[k - 1]
-            total += count_walk(i + 1, short, slack)
+            if v is not None and v + reach_next <= best_value:
+                total += walk(i + 1, None, short, is_slack(i + 1))
+            else:
+                total += walk(i + 1, v, short, slack)
             count[k - 1] = n
+            # restored by value: subtracting the cost back can drift the sum
             spent[k - 1] = old
         if memoize:
             memo[key] = total
@@ -284,7 +261,7 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
 
         Then the same holds at every node below, whose spend has grown by
         costs the bound already counted. The last depth is not tested:
-        `count_walk` does not memoize it.
+        `walk` does not memoize it.
         """
         if i == n_p - 1:
             return False
@@ -308,7 +285,7 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
         return lim
 
     if n_p:
-        dfs(0, 0.0, sum(q_min))
+        feasible_count = walk(0, 0.0, sum(q_min), False)
     else:
         # the empty schedule is the one leaf
         feasible_count = 1

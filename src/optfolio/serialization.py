@@ -55,11 +55,20 @@ def _integer(value, context: str) -> int:
     return value
 
 
+def _float(value: int | float, context: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the largest float
+        raise InstanceFormatError(
+            f"{context} must fit in a float, got an integer of {value.bit_length()} bits"
+        ) from None
+
+
 def _number(value, context: str) -> float:
     # float() would take a bool and parse a string
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceFormatError(f"{context} must be a number, got {value!r}")
-    return float(value)
+    return _float(value, context)
 
 
 def _array(value, context: str) -> list:
@@ -74,11 +83,14 @@ _NUMBER_TYPES = {int, float}
 def _numbers(value, context: str) -> tuple[float, ...]:
     # one type test per array; a miss re-checks entry by entry for the message
     if type(value) is list and set(map(type, value)) <= _NUMBER_TYPES:
-        return tuple(map(float, value))
+        try:
+            return tuple(map(float, value))
+        except OverflowError:  # an integer no float holds: the loop names it
+            pass
     for x in _array(value, context):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise InstanceFormatError(f"{context} entries must be numbers, got {x!r}")
-    return tuple(map(float, value))
+    return tuple(_float(x, f"{context} entry") for x in value)
 
 
 _EDGE_TYPES = (int, int, float, float)
@@ -102,12 +114,23 @@ def _edge(ed) -> DependencyEdge:
     )
 
 
+def _discounted(present_value, raw, rate: float, n_periods: int, context: str) -> tuple[float, ...]:
+    """present_value(raw, rate, k) for k = 1..N, refused when (1 + rate)^t overflows."""
+    try:
+        return tuple(present_value(raw, rate, k) for k in range(1, n_periods + 1))
+    except OverflowError:
+        raise InstanceFormatError(
+            f"{context} cannot be discounted at rate {rate}: the factor exceeds the float range"
+        ) from None
+
+
 def instance_from_dict(doc: dict) -> Instance:
     """Parse an instance document; unknown keys (e.g. comments) are ignored.
 
     A value of the wrong JSON type (a boolean or a string for a number, a
-    number for an array or an object, anything but a string for a label)
-    raises InstanceFormatError naming the field.
+    number for an array or an object, anything but a string for a label),
+    and a number no float can hold, raise InstanceFormatError naming the
+    field.
     """
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
@@ -143,7 +166,7 @@ def instance_from_dict(doc: dict) -> Instance:
         if "cost_pv" in pd:
             cost_pv = _numbers(pd["cost_pv"], f"{ctx}: cost_pv")
         elif raw_cost is not None:
-            cost_pv = tuple(cost_present_value(raw_cost, rate, k) for k in range(1, n_periods + 1))
+            cost_pv = _discounted(cost_present_value, raw_cost, rate, n_periods, f"{ctx}: raw_cost")
         else:
             raise InstanceFormatError(f"{ctx}: needs cost_pv or raw_cost")
         if "return_pv" in pd:
@@ -151,8 +174,8 @@ def instance_from_dict(doc: dict) -> Instance:
         elif stream is not None:
             if not stream:
                 raise InstanceFormatError(f"{ctx}: return_stream must be non-empty")
-            return_pv = tuple(
-                return_present_value(list(stream), rate, k) for k in range(1, n_periods + 1)
+            return_pv = _discounted(
+                return_present_value, list(stream), rate, n_periods, f"{ctx}: return_stream"
             )
         else:
             raise InstanceFormatError(f"{ctx}: needs return_pv or return_stream")
@@ -216,7 +239,8 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def load_instance(path: str) -> Instance:
-    with open(path) as fh:
+    # JSON text is UTF-8 (RFC 8259, section 8.1), whatever the locale says
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         # the decoder recurses once per nesting level

@@ -369,6 +369,10 @@ _WRONG_TYPES = {
     "label-null": ("label", _put("projects", 0, "label", value=None)),
     "label-array": ("label", _put("projects", 0, "label", value=[1, 2])),
     "label-number": ("label", _put("projects", 0, "label", value=7)),
+    # integers that JSON allows and no float holds
+    "budgets-huge-integer": ("budgets", _put("budgets", 0, value=10**400)),
+    "rate-huge-integer": ("rate", _put("rate", value=10**400)),
+    "option_value-huge-integer": ("option_value", _put("edges", 0, "option_value", value=10**400)),
 }
 
 
@@ -436,6 +440,23 @@ class TestRefusedInput:
         assert code == 1
         assert out == ""
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keep_cost_pv", [True, False], ids=["validator", "loader"])
+    def test_rate_beyond_float_discounting_exits_one(
+        self, tmp_path, capsys, paper_instance, keep_cost_pv
+    ):
+        # (1 + 1e300)^2 overflows: the validator discounts raw_cost to check
+        # a given cost_pv, and the loader discounts it to derive a missing one
+        doc = instance_to_dict(paper_instance)
+        doc["rate"] = 1e300
+        doc["projects"][0]["raw_cost"] = 15.0
+        if not keep_cost_pv:
+            del doc["projects"][0]["cost_pv"]
+        path = tmp_path / "huge_rate.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli("exact", str(path))
+        assert (code, out) == (1, "")
+        assert "project 1: raw_cost cannot be discounted at rate 1e+300" in capsys.readouterr().err
 
     def test_project_count_beyond_project_list_refused_without_id_range(self, tmp_path, capsys):
         # a few bytes naming n_p = 1e12 with no projects: listing ids 1..n_p
@@ -535,6 +556,25 @@ def test_exact_evaluate_and_small_solves_never_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_instance_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # JSON text is UTF-8 whatever the locale; C-locale coercion and UTF-8
+    # mode are off, so the locale's encoding is ASCII
+    doc = json.loads(Path(FIXTURE).read_text(encoding="utf-8"))
+    doc["projects"][0]["label"] = "Caf\u00e9"
+    path = tmp_path / "utf8.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(of.__file__))
+    env = dict(
+        os.environ, PYTHONPATH=src, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C", LANG="C"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "optfolio.cli", "exact", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli("exact", FIXTURE)[1]
 
 
 def test_long_dependency_chain(tmp_path):
@@ -746,10 +786,12 @@ class TestSweep:
         assert len(validated) == 5
 
     def test_cap_exceeded_exits_three(self):
-        code, _ = run_cli(
+        code, out = run_cli(
             "sweep", FIXTURE, "--qmin-range", "1..2", "--qmax-range", "3..4", "--cap", "100"
         )
         assert code == 3
+        # no header without its rows
+        assert out == ""
 
     @pytest.mark.parametrize(
         "spec, message",

@@ -331,6 +331,18 @@ class TestValidateInstance:
         bad = replace(paper_instance, rate=-0.1, projects=(p0,) + paper_instance.projects[1:])
         assert "rate must be >= 0, got -0.1" in of.validate_instance(bad)
 
+    @pytest.mark.parametrize(
+        "field, raw", [("raw_cost", 15.0), ("return_stream", (13.0,))], ids=["cost", "return"]
+    )
+    def test_rate_too_large_to_discount_is_reported(self, paper_instance, field, raw):
+        # (1 + 1e300)^(k - 1) overflows at period 3: a violation, not an exception
+        from dataclasses import replace
+
+        p0 = replace(paper_instance.projects[0], **{field: raw})
+        bad = replace(paper_instance, rate=1e300, projects=(p0,) + paper_instance.projects[1:])
+        msgs = of.validate_instance(bad)
+        assert f"project 1: {field} cannot be discounted at rate 1e+300" in msgs
+
     def test_nan_raw_cost_does_not_match(self, paper_instance):
         from dataclasses import replace
 
