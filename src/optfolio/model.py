@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 MONEY_TOL = 1e-9
 
@@ -114,7 +113,8 @@ def validate_instance(inst: Instance) -> list[str]:
     """Check every instance invariant; returns one message per violation.
 
     An empty list means the instance is valid. Violations are data, not
-    exceptions: callers decide whether to refuse.
+    exceptions: callers decide whether to refuse. A dependency graph with
+    cycles gets one message, naming one of them, last.
     """
     v: list[str] = []
     n_p, N = inst.n_projects, inst.n_periods
@@ -160,11 +160,9 @@ def validate_instance(inst: Instance) -> list[str]:
             v.append(f"sum of q_min ({sum(inst.q_min)}) > n_p ({n_p}): no schedule can satisfy the minima")
 
     ids = [p.id for p in inst.projects]
-    # Kahn's algorithm below indexes projects by id, so it needs ids 1..n_p;
     # the length test comes first, so a short list naming a huge n_p costs
     # nothing here (its length fault is reported above)
-    endpoints_known = len(ids) == n_p and sorted(ids) == list(range(1, n_p + 1))
-    if not endpoints_known:
+    if len(ids) != n_p or sorted(ids) != list(range(1, n_p + 1)):
         v.append(f"project ids must be exactly 1..{n_p}, got {sorted(ids)}")
     elif ids != sorted(ids):
         # schedules and solvers index project id i at position i - 1
@@ -187,49 +185,27 @@ def validate_instance(inst: Instance) -> list[str]:
                     v.append(f"project {p.id}: return_pv[{k}] must be finite, got {r}")
                 elif r < 0:
                     v.append(f"project {p.id}: return_pv[{k}] must be >= 0, got {r}")
-        # the match tests are written so that a NaN counts as a mismatch, and
-        # a rate whose discount factor (1 + rate)^t overflows is a violation
         if p.raw_cost is not None and len(p.cost_pv) == N and rate_ok:
-            try:
-                for k in range(1, N + 1):
-                    expect = cost_present_value(p.raw_cost, inst.rate, k)
-                    if not abs(expect - p.cost_pv[k - 1]) <= MONEY_TOL:
-                        v.append(
-                            f"project {p.id}: cost_pv[{k}] = {p.cost_pv[k - 1]} does not match "
-                            f"raw_cost discounted to period {k} ({expect})"
-                        )
-            except OverflowError:
-                v.append(f"project {p.id}: raw_cost cannot be discounted at rate {inst.rate}")
+            _match_discounted(v, p, inst.rate, "cost_pv", "raw_cost", cost_present_value)
         if p.return_stream is not None and len(p.return_pv) == N and rate_ok:
             if not p.return_stream:
                 v.append(f"project {p.id}: return_stream must be non-empty when given")
             else:
-                try:
-                    for k in range(1, N + 1):
-                        expect = return_present_value(list(p.return_stream), inst.rate, k)
-                        if not abs(expect - p.return_pv[k - 1]) <= MONEY_TOL:
-                            v.append(
-                                f"project {p.id}: return_pv[{k}] = {p.return_pv[k - 1]} does "
-                                f"not match return_stream discounted to period {k} ({expect})"
-                            )
-                except OverflowError:
-                    v.append(
-                        f"project {p.id}: return_stream cannot be discounted at rate {inst.rate}"
-                    )
+                _match_discounted(v, p, inst.rate, "return_pv", "return_stream", return_present_value)
 
     id_set = set(ids)
     seen_pairs = set()
-    pairs = list(map(_ENDPOINTS, inst.edges))
-    for e, pair in zip(inst.edges, pairs):
-        pred, dep = pair
+    # the dependency graph, over every id an edge names, known or not
+    succ: dict[int, list[int]] = {}
+    indegree: dict[int, int] = {}
+    for e in inst.edges:
+        pred, dep = pair = e.predecessor, e.dependent
         if pred == dep:
             v.append(f"edge predecessor equals dependent ({pred})")
         if pred not in id_set:
             v.append(f"edge references unknown predecessor {pred}")
-            endpoints_known = False
         if dep not in id_set:
             v.append(f"edge references unknown dependent {dep}")
-            endpoints_known = False
         if pair in seen_pairs:
             v.append(f"duplicate edge for pair {pair}")
         seen_pairs.add(pair)
@@ -240,65 +216,63 @@ def validate_instance(inst: Instance) -> list[str]:
             v.append(f"edge {pair}: option_value must be finite, got {e.option_value}")
         elif e.option_value < 0:
             v.append(f"edge {pair}: option_value must be >= 0, got {e.option_value}")
+        succ.setdefault(pred, []).append(dep)
+        indegree.setdefault(pred, 0)
+        indegree[dep] = indegree.get(dep, 0) + 1
 
-    # the depth-first search names a cycle; it runs only when Kahn's order
-    # misses a project (one on or behind a cycle) or cannot be computed
-    if not endpoints_known or len(_topological_order(n_p, pairs)) < n_p:
-        cycle = _find_cycle(inst)
-        if cycle:
-            v.append(f"dependency graph contains a cycle: {' -> '.join(map(str, cycle))}")
+    cycle = _find_cycle(succ, indegree)
+    if cycle:
+        v.append(f"dependency graph contains a cycle: {' -> '.join(map(str, cycle))}")
     return v
 
 
-_ENDPOINTS = attrgetter("predecessor", "dependent")
+def _match_discounted(
+    v: list[str], p: Project, rate: float, table: str, source: str, present_value
+) -> None:
+    """Report each entry of p's PV table `table` that `source` discounted misses.
 
-
-def _topological_order(n_p: int, pairs: list[tuple[int, int]]) -> list[int]:
-    """Kahn's algorithm: project ids 1..n_p, each after all its predecessors.
-
-    pairs are (predecessor, dependent) edges between ids in 1..n_p. A
-    project on a cycle, or reachable from one, is left out, so the order
-    holds all n_p projects exactly when the graph is acyclic.
+    present_value(source value, rate, k) gives period k's entry. The test is
+    written so that a NaN counts as a mismatch, and a rate whose discount
+    factor (1 + rate)^t overflows is a violation.
     """
-    succ: list[list[int]] = [[] for _ in range(n_p + 1)]
-    indegree = [0] * (n_p + 1)
-    for pred, dep in pairs:
-        succ[pred].append(dep)
-        indegree[dep] += 1
-    order = [i for i in range(1, n_p + 1) if not indegree[i]]
+    given = getattr(p, source)
+    try:
+        for k, have in enumerate(getattr(p, table), start=1):
+            expect = present_value(given, rate, k)
+            if not abs(expect - have) <= MONEY_TOL:
+                v.append(
+                    f"project {p.id}: {table}[{k}] = {have} does not match "
+                    f"{source} discounted to period {k} ({expect})"
+                )
+    except OverflowError:
+        v.append(f"project {p.id}: {source} cannot be discounted at rate {rate}")
+
+
+def _find_cycle(succ: dict[int, list[int]], indegree: dict[int, int]) -> list[int] | None:
+    """Return one directed cycle of the graph, or None if it has none.
+
+    succ maps a node to its successors, indegree every node to its count
+    of in-edges (counted down in place). Kahn's algorithm removes each node
+    whose predecessors are all removed, so the nodes left are those on a
+    cycle or behind one, and each has a predecessor that is left too.
+    Walking back through such predecessors must repeat a node: the loop it
+    closes, read forwards, is a cycle.
+    """
+    order = [i for i, d in indegree.items() if not d]
     for i in order:  # appending while iterating makes order its own queue
-        for dep in succ[i]:
+        for dep in succ.get(i, ()):
             indegree[dep] -= 1
             if not indegree[dep]:
                 order.append(dep)
-    return order
-
-
-def _find_cycle(inst: Instance) -> list[int] | None:
-    """Return one directed cycle through dependency edges, or None."""
-    succ: dict[int, list[int]] = {}
-    for e in inst.edges:
-        succ.setdefault(e.predecessor, []).append(e.dependent)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {pid: WHITE for pid in set(succ) | {d for ds in succ.values() for d in ds}}
-    for root in list(color):
-        if color[root] != WHITE:
-            continue
-        # iterative, so a long dependency chain cannot exhaust the recursion
-        # limit; path holds the gray nodes, todo each one's unvisited successors
-        color[root] = GRAY
-        path = [root]
-        todo = [iter(succ.get(root, ()))]
-        while todo:
-            for w in todo[-1]:
-                if color[w] == GRAY:
-                    return path[path.index(w):] + [w]
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    path.append(w)
-                    todo.append(iter(succ.get(w, ())))
-                    break
-            else:
-                color[path.pop()] = BLACK
-                todo.pop()
-    return None
+    if len(order) == len(indegree):
+        return None
+    # a node left has only successors that are left, so back maps every
+    # node left, and only those, to a predecessor that is left
+    back = {dep: i for i, d in indegree.items() if d for dep in succ.get(i, ())}
+    at: dict[int, int] = {}  # the walk so far, node -> step
+    node = min(back)  # the smallest id left, so the cycle named is fixed
+    while node not in at:
+        at[node] = len(at)
+        node = back[node]
+    # the walk from node's first step back to node runs against the edges
+    return (list(at)[at[node]:] + [node])[::-1]

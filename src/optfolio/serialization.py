@@ -243,16 +243,16 @@ def load_instance(path: str) -> Instance:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        # the decoder recurses once per nesting level
-        except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level; ValueError covers
+        # JSONDecodeError, UnicodeDecodeError and an over-long integer literal
+        except (ValueError, RecursionError) as exc:
             raise InstanceFormatError(f"{path}: malformed JSON: {exc}") from exc
     return instance_from_dict(doc)
 
 
 def save_instance(inst: Instance, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2)
-        fh.write("\n")
+        fh.write(dump_json(instance_to_dict(inst)))
 
 
 def breakdown_to_dict(b: EvaluationBreakdown) -> dict:
@@ -416,7 +416,8 @@ def parse_schedule_arg(arg: str, n_projects: int, n_periods: int) -> Schedule:
     if len({len(row) for row in rows}) > 1:
         raise ValueError("all chromosome rows must have equal length")
     width = len(rows[0]) if rows else 0
-    if (len(rows), width) != (n_projects, n_periods):
+    # no rows have no width: the empty schedule of an n_p = 0 instance passes
+    if len(rows) != n_projects or (rows and width != n_periods):
         raise ValueError(f"bit rows are {len(rows)}x{width}, expected {n_projects}x{n_periods}")
     bad = [(r, row.count("1")) for r, row in enumerate(rows, start=1) if row.count("1") != 1]
     if bad:

@@ -376,6 +376,16 @@ _WRONG_TYPES = {
 }
 
 
+_FIXTURE_TEXT = Path(FIXTURE).read_text(encoding="utf-8")
+# fixture bytes the JSON decoder refuses with a plain ValueError
+_UNDECODABLE = {
+    # an integer literal past int_max_str_digits (4,300 by default)
+    "long-integer": _FIXTURE_TEXT.replace('"budgets": [90', '"budgets": [' + "9" * 5000, 1).encode(),
+    # a Latin-1 byte, which is not UTF-8
+    "latin-1": _FIXTURE_TEXT.replace('"P1"', '"P1\u00e9"', 1).encode("latin-1"),
+}
+
+
 class TestRefusedInput:
     """Non-finite numbers, non-integer ids, non-integer counts and values of
     the wrong JSON type exit 1 instead of being solved."""
@@ -440,6 +450,21 @@ class TestRefusedInput:
         assert code == 1
         assert out == ""
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", _UNDECODABLE.values(), ids=_UNDECODABLE.keys())
+    def test_undecodable_file_exits_one_naming_it(self, tmp_path, capsys, text):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(text)
+        code, out = run_cli("exact", str(path))
+        assert (code, out) == (1, "")
+        assert f"error: {path}: malformed JSON: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", _UNDECODABLE.values(), ids=_UNDECODABLE.keys())
+    def test_undecodable_file_is_a_format_error(self, tmp_path, text):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(text)
+        with pytest.raises(InstanceFormatError, match="malformed JSON"):
+            load_instance(str(path))
 
     @pytest.mark.parametrize("keep_cost_pv", [True, False], ids=["validator", "loader"])
     def test_rate_beyond_float_discounting_exits_one(
@@ -681,6 +706,20 @@ class TestEvaluate:
         code, _ = run_cli("evaluate", FIXTURE, "1,2")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["solve", "exact"])
+    def test_empty_schedule_of_an_empty_instance(self, tmp_path, command):
+        # n_p = 0 is valid; the empty schedule solve and exact print reads back
+        doc = {"n_p": 0, "N": 2, "budgets": [1, 1], "q_min": [0, 0], "q_max": [0, 0], "projects": []}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(command, str(path))
+        assert code == 0
+        periods = json.loads(out)["period_of"]
+        assert periods == []
+        code, out = run_cli("evaluate", str(path), ",".join(map(str, periods)))
+        assert code == 0
+        assert json.loads(out)["feasible"] is True
+
     def test_invalid_bit_rows_rejected_with_report(self, tmp_path, capsys):
         rows = tmp_path / "rows.txt"
         rows.write_text("110\n010\n100\n010\n010\n001\n001\n")
@@ -868,6 +907,17 @@ class TestGen:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("n_p, n_periods", [(7, 3), (50, 5), (200, 6)])
+    def test_file_is_the_json_text_of_the_instance(self, tmp_path, n_p, n_periods):
+        path = tmp_path / "g.json"
+        code, _ = run_cli(
+            "gen", "--projects", str(n_p), "--periods", str(n_periods), "--seed", "1",
+            "--out", str(path),
+        )
+        assert code == 0
+        inst = of.generate_instance(n_p, n_periods, seed=1)
+        assert path.read_text() == json.dumps(instance_to_dict(inst), indent=2) + "\n"
 
     def test_generated_file_is_valid_instance(self, tmp_path):
         path = tmp_path / "g.json"
