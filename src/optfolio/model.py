@@ -139,16 +139,11 @@ def validate_instance(inst: Instance) -> list[str]:
     if inst.total_dependency_mode not in TOTAL_DEPENDENCY_MODES:
         v.append(f"total_dependency_mode must be one of {TOTAL_DEPENDENCY_MODES}")
 
-    # each per-entry loop below runs only on a miss of its one-pass test: a
-    # NaN or an infinity makes the sum non-finite (so does an overflow,
-    # which the loop then passes)
-    budgets = inst.budgets
-    if not (budgets and math.isfinite(sum(budgets)) and min(budgets) > 0):
-        for k, b in enumerate(budgets, start=1):
-            if not math.isfinite(b):
-                v.append(f"budgets[{k}] must be finite, got {b}")
-            elif b <= 0:
-                v.append(f"budgets[{k}] must be > 0, got {b}")
+    for k, b in enumerate(inst.budgets, start=1):
+        if not math.isfinite(b):
+            v.append(f"budgets[{k}] must be finite, got {b}")
+        elif b <= 0:
+            v.append(f"budgets[{k}] must be > 0, got {b}")
     if len(inst.q_min) == len(inst.q_max) == N:
         for k in range(N):
             lo, hi = inst.q_min[k], inst.q_max[k]
@@ -173,18 +168,16 @@ def validate_instance(inst: Instance) -> list[str]:
             v.append(f"project {p.id}: cost_pv has {len(p.cost_pv)} entries, expected N ({N})")
         if len(p.return_pv) != N:
             v.append(f"project {p.id}: return_pv has {len(p.return_pv)} entries, expected N ({N})")
-        if not (p.cost_pv and math.isfinite(sum(p.cost_pv)) and min(p.cost_pv) > 0):
-            for k, c in enumerate(p.cost_pv, start=1):
-                if not math.isfinite(c):
-                    v.append(f"project {p.id}: cost_pv[{k}] must be finite, got {c}")
-                elif c <= 0:
-                    v.append(f"project {p.id}: cost_pv[{k}] must be > 0, got {c}")
-        if not (p.return_pv and math.isfinite(sum(p.return_pv)) and min(p.return_pv) >= 0):
-            for k, r in enumerate(p.return_pv, start=1):
-                if not math.isfinite(r):
-                    v.append(f"project {p.id}: return_pv[{k}] must be finite, got {r}")
-                elif r < 0:
-                    v.append(f"project {p.id}: return_pv[{k}] must be >= 0, got {r}")
+        for k, c in enumerate(p.cost_pv, start=1):
+            if not math.isfinite(c):
+                v.append(f"project {p.id}: cost_pv[{k}] must be finite, got {c}")
+            elif c <= 0:
+                v.append(f"project {p.id}: cost_pv[{k}] must be > 0, got {c}")
+        for k, r in enumerate(p.return_pv, start=1):
+            if not math.isfinite(r):
+                v.append(f"project {p.id}: return_pv[{k}] must be finite, got {r}")
+            elif r < 0:
+                v.append(f"project {p.id}: return_pv[{k}] must be >= 0, got {r}")
         if p.raw_cost is not None and len(p.cost_pv) == N and rate_ok:
             _match_discounted(v, p, inst.rate, "cost_pv", "raw_cost", cost_present_value)
         if p.return_stream is not None and len(p.return_pv) == N and rate_ok:

@@ -220,8 +220,9 @@ class TestEnumerateOptimal:
             of.enumerate_optimal(bad)
 
     def test_cap_refusal_names_size(self, paper_instance):
-        with pytest.raises(of.SearchSpaceCapExceeded, match="2187"):
+        with pytest.raises(of.SearchSpaceCapExceeded) as info:
             of.enumerate_optimal(paper_instance, cap=1000)
+        assert str(info.value) == "search space N^n_p = 2187 exceeds enumeration cap 1000"
 
     def test_lexicographic_tie_break(self):
         # two identical projects, no constraints binding: 4 schedules tie
