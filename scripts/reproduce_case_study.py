@@ -21,7 +21,13 @@ def main():
         print(f"    {row}")
     print(f"  per-period costs: {b.total_cost_per_period} vs budgets {inst.budgets}")
     print(f"  projects per period: {b.count_per_period}")
-    print(f"  DCF sum {sum(b.dcf_values)}, options accrued {sum(b.option_accrued)}, total {b.total_value}")
+    # summed left to right: builtin sum() is compensated from Python 3.12,
+    # which could change the digits with the interpreter
+    dcf_sum = options = 0
+    for dcf, option in zip(b.dcf_values, b.option_accrued):
+        dcf_sum += dcf
+        options += option
+    print(f"  DCF sum {dcf_sum}, options accrued {options}, total {b.total_value}")
     print(f"  feasible schedules in the whole space: {res.feasible_count}")
 
     print("\nGA, default config, seeds 1..10")

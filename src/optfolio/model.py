@@ -56,7 +56,10 @@ class Project:
     cost_pv[k-1] / return_pv[k-1] are the PV of cost and return if the
     project is funded in period k. raw_cost / return_stream are optional
     undiscounted inputs; when present they must reproduce the PV tables
-    under the discounting functions above.
+    under the discounting functions above, each entry within MONEY_TOL
+    relative to the entry (absolute below 1). Across an instance, the
+    budgets must have a finite sum, and so must each project's largest
+    return plus every option value.
     """
 
     id: int
@@ -139,11 +142,18 @@ def validate_instance(inst: Instance) -> list[str]:
     if inst.total_dependency_mode not in TOTAL_DEPENDENCY_MODES:
         v.append(f"total_dependency_mode must be one of {TOTAL_DEPENDENCY_MODES}")
 
+    # summed left to right as build_tables sums them: the violation score
+    # divides by this sum, and an infinite one would score any excess 0
+    budget_total = 0.0
     for k, b in enumerate(inst.budgets, start=1):
         if not math.isfinite(b):
             v.append(f"budgets[{k}] must be finite, got {b}")
         elif b <= 0:
             v.append(f"budgets[{k}] must be > 0, got {b}")
+        else:
+            budget_total += b
+    if math.isinf(budget_total):
+        v.append(f"budgets must have a finite sum, got {budget_total}")
     if len(inst.q_min) == len(inst.q_max) == N:
         for k in range(N):
             lo, hi = inst.q_min[k], inst.q_max[k]
@@ -163,6 +173,9 @@ def validate_instance(inst: Instance) -> list[str]:
         # schedules and solvers index project id i at position i - 1
         v.append(f"projects must be listed in id order 1..{n_p}, got {ids}")
 
+    # bounds every schedule's value from above; a feasible schedule's costs
+    # are bounded by the budgets' sum
+    value_max = 0.0
     for p in inst.projects:
         if len(p.cost_pv) != N:
             v.append(f"project {p.id}: cost_pv has {len(p.cost_pv)} entries, expected N ({N})")
@@ -173,11 +186,15 @@ def validate_instance(inst: Instance) -> list[str]:
                 v.append(f"project {p.id}: cost_pv[{k}] must be finite, got {c}")
             elif c <= 0:
                 v.append(f"project {p.id}: cost_pv[{k}] must be > 0, got {c}")
+        top = 0.0
         for k, r in enumerate(p.return_pv, start=1):
             if not math.isfinite(r):
                 v.append(f"project {p.id}: return_pv[{k}] must be finite, got {r}")
             elif r < 0:
                 v.append(f"project {p.id}: return_pv[{k}] must be >= 0, got {r}")
+            elif r > top:
+                top = r
+        value_max += top
         if p.raw_cost is not None and len(p.cost_pv) == N and rate_ok:
             _match_discounted(v, p, inst.rate, "cost_pv", "raw_cost", cost_present_value)
         if p.return_stream is not None and len(p.return_pv) == N and rate_ok:
@@ -209,9 +226,16 @@ def validate_instance(inst: Instance) -> list[str]:
             v.append(f"edge {pair}: option_value must be finite, got {e.option_value}")
         elif e.option_value < 0:
             v.append(f"edge {pair}: option_value must be >= 0, got {e.option_value}")
+        else:
+            value_max += e.option_value
         succ.setdefault(pred, []).append(dep)
         indegree.setdefault(pred, 0)
         indegree[dep] = indegree.get(dep, 0) + 1
+
+    if math.isinf(value_max):
+        v.append(
+            f"the projects' largest returns and the option values must have a finite sum, got {value_max}"
+        )
 
     cycle = _find_cycle(succ, indegree)
     if cycle:
@@ -224,15 +248,18 @@ def _match_discounted(
 ) -> None:
     """Report each entry of p's PV table `table` that `source` discounted misses.
 
-    present_value(source value, rate, k) gives period k's entry. The test is
-    written so that a NaN counts as a mismatch, and a rate whose discount
-    factor (1 + rate)^t overflows is a violation.
+    present_value(source value, rate, k) gives period k's entry. The
+    tolerance is MONEY_TOL relative to the entry, and absolute below 1, so
+    a table in the millions may differ in its last digits by the order the
+    discounting is written in. The test is written so that a NaN counts as
+    a mismatch, and a rate whose discount factor (1 + rate)^t overflows is
+    a violation.
     """
     given = getattr(p, source)
     try:
         for k, have in enumerate(getattr(p, table), start=1):
             expect = present_value(given, rate, k)
-            if not abs(expect - have) <= MONEY_TOL:
+            if not abs(expect - have) <= MONEY_TOL * max(1.0, abs(have)):
                 v.append(
                     f"project {p.id}: {table}[{k}] = {have} does not match "
                     f"{source} discounted to period {k} ({expect})"

@@ -25,9 +25,9 @@ count depends only on the per-period counts and on the periods of the
 placed endpoints of hard edges crossing the depth, so it is memoized on
 them.
 
-The recursion is one level per project, so an instance with more projects
-than the interpreter's remaining stack allows is refused like one over the
-cap. Its job is to certify the GA and to ground expected values in tests.
+The recursion is one level per project, so a search the interpreter's
+recursion limit stops (RecursionError) is refused like one over the cap.
+Its job is to certify the GA and to ground expected values in tests.
 """
 
 from __future__ import annotations
@@ -61,22 +61,8 @@ VALUE_RTOL = 1e-9
 BUDGET_RTOL = 1e-9
 
 
-# frames a leaf needs above the search's own: `score` and what it calls,
-# plus any wrapper a caller installs around them
-_STACK_MARGIN = 50
-
-
 class SearchSpaceCapExceeded(ValueError):
     """Instance is too large for exhaustive enumeration."""
-
-
-def _recursion_headroom() -> int:
-    """Frames the calling thread can still push before RecursionError, less a margin."""
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    return sys.getrecursionlimit() - depth - _STACK_MARGIN
 
 
 @dataclass(frozen=True)
@@ -102,10 +88,6 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
     size = N**n_p
     if size > cap:
         raise SearchSpaceCapExceeded(f"search space N^n_p = {size} exceeds enumeration cap {cap}")
-    # the search recurses once per project (N=1 passes any cap)
-    headroom = _recursion_headroom()
-    if n_p > headroom:
-        raise SearchSpaceCapExceeded(f"search depth n_p = {n_p} exceeds recursion headroom {headroom}")
     cost, ret = tables.cost, tables.ret
     budgets, q_min, q_max = tables.budgets, tables.q_min, tables.q_max
 
@@ -177,13 +159,13 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
             best_per = periods
 
     memo: dict[tuple, int] = {}
-    # built at the first depth that needs them: limits[i][k - 1][c] is the
-    # period-k spend below which a node at depth i with c projects in period
-    # k cannot reach its budget, even with the largest period-k costs of the
-    # projects still to place, as many as q_max allows. crossing[i] lists
-    # the placed endpoints of the hard edges with one endpoint on each side
-    # of depth i. Built eagerly, they would add 2.4% to exact-search's
-    # oracle time and 17.6% to desk-certify's
+    # built by `is_slack` at the first depth that needs them:
+    # limits[i][k - 1][c] is the period-k spend below which a node at depth
+    # i with c projects in period k cannot reach its budget, even with the
+    # largest period-k costs of the projects still to place, as many as
+    # q_max allows. crossing[i] lists the placed endpoints of the hard edges
+    # with one endpoint on each side of depth i. Built eagerly, they would
+    # add 2.4% to exact-search's oracle time and 17.6% to desk-certify's
     limits: list[list[list[float]] | None] = [None] * n_p
     crossing: list[list[int]] = []
 
@@ -200,9 +182,6 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
         remaining = n_p - i - 1
         memoize = slack and remaining
         if memoize:
-            if not crossing:
-                ends = [sorted(e) for e in tables.hard_edges]
-                crossing.extend(sorted({a for a, b in ends if a < d <= b}) for d in range(n_p))
             key = (i, *count, *[per[e] for e in crossing[i]])
             known = memo.get(key)
             if known is not None:
@@ -255,31 +234,39 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
 
         Then the same holds at every node below, whose spend has grown by
         costs the bound already counted. The last depth is not tested:
-        `walk` does not memoize it.
+        `walk` does not memoize it. Builds `limits[i]`, and `crossing` for
+        the memo, on first use.
         """
         if i == n_p - 1:
             return False
-        lim = limits[i] or slack_limits(i)
+        lim = limits[i]
+        if lim is None:
+            # the float sums of the m largest costs and of a path's costs
+            # differ in order; each is within n_p * 2**-53 of the exact sum,
+            # relative to the budget it is compared with, which BUDGET_RTOL
+            # covers
+            rest = n_p - i
+            lim = limits[i] = []
+            for k in range(N):
+                top = [0.0, *accumulate(sorted((cost[j][k] for j in range(i, n_p)), reverse=True))]
+                room = budgets[k] * (1 - BUDGET_RTOL)
+                lim.append([room - top[min(q_max[k] - c, rest)] for c in range(q_max[k] + 1)])
+            if not crossing:
+                ends = [sorted(e) for e in tables.hard_edges]
+                crossing.extend(sorted({a for a, b in ends if a < d <= b}) for d in range(n_p))
         for s, lim_k, c in zip(spent, lim, count):
             if s >= lim_k[c]:
                 return False
         return True
 
-    def slack_limits(i: int) -> list[list[float]]:
-        # the float sums of the m largest costs and of a path's costs differ
-        # in order; each is within n_p * 2**-53 of the exact sum, relative to
-        # the budget it is compared with, which BUDGET_RTOL covers
-        rest = n_p - i
-        lim = []
-        for k in range(N):
-            top = [0.0, *accumulate(sorted((cost[j][k] for j in range(i, n_p)), reverse=True))]
-            room = budgets[k] * (1 - BUDGET_RTOL)
-            lim.append([room - top[min(q_max[k] - c, rest)] for c in range(q_max[k] + 1)])
-        limits[i] = lim
-        return lim
-
     if n_p:
-        feasible_count = walk(0, 0.0, sum(q_min), False)
+        try:
+            feasible_count = walk(0, 0.0, sum(q_min), False)
+        except RecursionError:
+            # one frame per project: the depth, not the space, is too large
+            raise SearchSpaceCapExceeded(
+                f"search depth n_p = {n_p} exceeds the recursion limit {sys.getrecursionlimit()}"
+            ) from None
     else:
         # the empty schedule is the one leaf
         feasible_count = 1

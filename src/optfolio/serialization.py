@@ -10,8 +10,7 @@ numeric formatting) so golden tests and determinism checks can compare
 output verbatim. `dump_json` writes exactly the bytes of
 `json.dumps(doc, indent=2) + "\n"`, with a small writer of its own:
 `indent` turns the standard library's C encoder off, and the pure-Python
-encoder it falls back to costs more than valuing a schedule. Lists of
-numbers take the per-value path too: a path of their own saved no time.
+encoder it falls back to costs more than valuing a schedule.
 
 The loader checks each number array, and each edge, with one type test
 and runs the field-by-field checks only on a miss, so every refusal keeps

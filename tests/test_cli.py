@@ -283,7 +283,28 @@ class TestExact:
         assert code == 3
         assert out == ""
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: search depth n_p = 1500 exceeds recursion headroom \d+\n", err)
+        assert re.fullmatch(r"error: search depth n_p = 1500 exceeds the recursion limit \d+\n", err)
+
+    def test_discounted_tables_in_the_millions_are_solved(self, tmp_path, paper_instance):
+        # every amount x 1e6 at rate 0.07, each cost table given as
+        # raw_cost * 1.07 ** -(k - 1): two ulps off raw_cost / 1.07 ** (k - 1)
+        # at 1.3e7, more than an absolute 1e-9
+        doc = instance_to_dict(paper_instance)
+        doc["rate"] = 0.07
+        doc["budgets"] = [b * 1e6 for b in doc["budgets"]]
+        for pd in doc["projects"]:
+            raw = pd["cost_pv"][0] * 1e6
+            pd["raw_cost"] = raw
+            pd["cost_pv"] = [raw * 1.07 ** -(k - 1) for k in range(1, doc["N"] + 1)]
+            pd["return_pv"] = [r * 1e6 for r in pd["return_pv"]]
+        for e in doc["edges"]:
+            e["option_value"] *= 1e6
+        path = tmp_path / "millions.json"
+        path.write_text(json.dumps(doc))
+        assert of.validate_instance(load_instance(str(path))) == []
+        code, out = run_cli("exact", str(path))
+        assert code == 0
+        assert json.loads(out)["feasible_count"] > 0
 
     def test_infeasible_exits_two(self, tmp_path, paper_instance):
         from dataclasses import replace
@@ -512,6 +533,35 @@ class TestRefusedInput:
         path.write_text(json.dumps(doc))
         assert run_cli("exact", str(path)) == (1, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [("solve", "--seed", "1"), ("exact",)])
+    def test_budgets_summing_past_the_float_range_exit_one(
+        self, tmp_path, capsys, paper_instance, argv
+    ):
+        # each budget is finite; divided by their infinite sum, period 3's
+        # excess of 10 scored 0, and `solve` printed that schedule as its best
+        doc = instance_to_dict(paper_instance)
+        doc["budgets"] = [1e308, 1e308, 100]
+        path = tmp_path / "budgets.json"
+        path.write_text(json.dumps(doc))
+        command, *flags = argv
+        assert run_cli(command, str(path), *flags) == (1, "")
+        assert "budgets must have a finite sum, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("exact",), ("evaluate", "1,2")])
+    def test_costs_at_the_top_of_the_float_range_exit_one(self, tmp_path, capsys, argv):
+        # `evaluate` called schedule 1,2 feasible with total -Infinity, and
+        # `exact` found no feasible schedule
+        doc = {
+            "n_p": 2, "N": 2, "budgets": [1e308, 1e308], "q_min": [0, 0], "q_max": [1, 1],
+            "projects": [{"id": i, "cost_pv": [1e308, 1e308], "return_pv": [0, 0]} for i in (1, 2)],
+            "edges": [],
+        }
+        path = tmp_path / "costs.json"
+        path.write_text(json.dumps(doc))
+        command, *rest = argv
+        assert run_cli(command, str(path), *rest) == (1, "")
+        assert "budgets must have a finite sum, got inf" in capsys.readouterr().err
 
     def test_project_count_beyond_project_list_refused_without_id_range(self, tmp_path, capsys):
         # a few bytes naming n_p = 1e12 with no projects: listing ids 1..n_p

@@ -311,18 +311,77 @@ class TestValidateInstance:
         "change",
         [
             # each table sums to inf, though every entry is finite
-            dict(budgets=(1e308,) * 3),
             _first_project(cost_pv=(1e308,) * 3),
             _first_project(return_pv=(1e308,) * 3),
             _first_project(return_pv=(0.0, -0.0, 0.0)),
             _first_project(cost_pv=(5e-324, 15.0, 15.0)),
         ],
-        ids=["budgets-overflow", "cost-overflow", "return-overflow", "zero-returns", "tiny-cost"],
+        ids=["cost-overflow", "return-overflow", "zero-returns", "tiny-cost"],
     )
     def test_boundary_tables_are_valid(self, paper_instance, change):
         from dataclasses import replace
 
         assert of.validate_instance(replace(paper_instance, **change)) == []
+
+    @pytest.mark.parametrize("second", ["return", "option"])
+    def test_values_whose_sum_overflows_are_reported(self, paper_instance, second):
+        # project 1 returns 1e308, and so does a second return or option
+        # value: a schedule earning both would be valued inf
+        from dataclasses import replace
+
+        projects, edges = list(paper_instance.projects), list(paper_instance.edges)
+        projects[0] = replace(projects[0], return_pv=(1e308,) * 3)
+        if second == "return":
+            projects[1] = replace(projects[1], return_pv=(1e308,) * 3)
+        else:
+            edges[0] = replace(edges[0], option_value=1e308)
+        inst = replace(paper_instance, projects=tuple(projects), edges=tuple(edges))
+        assert of.validate_instance(inst) == [
+            "the projects' largest returns and the option values must have a finite sum, got inf"
+        ]
+
+    @pytest.mark.parametrize("case", ["budgets-overflow", "paper", "two-projects"])
+    def test_overflowing_budget_sum_is_never_solved(self, paper_instance, case):
+        # each budget is finite, but the violation score divides by their sum
+        from dataclasses import replace
+
+        if case == "budgets-overflow":
+            inst = replace(paper_instance, budgets=(1e308,) * 3)
+        elif case == "paper":
+            # one period's excess of 10 divided by an infinite budget sum
+            # scored 0: the GA returned an over-budget schedule as its best
+            inst = replace(paper_instance, budgets=(1e308, 1e308, 100.0))
+        else:
+            # costs summing to -inf: `evaluate` called a schedule feasible
+            # that the oracle did not count
+            inst = of.Instance(
+                n_projects=2,
+                n_periods=2,
+                projects=tuple(
+                    of.Project(id=i, label=f"P{i}", cost_pv=(1e308, 1e308), return_pv=(0.0, 0.0))
+                    for i in (1, 2)
+                ),
+                edges=(),
+                budgets=(1e308, 1e308),
+                q_min=(0, 0),
+                q_max=(1, 1),
+            )
+        assert of.validate_instance(inst) == ["budgets must have a finite sum, got inf"]
+        for solve in (of.enumerate_optimal, of.run_ga):
+            with pytest.raises(of.InvalidInstanceError, match="finite sum"):
+                solve(inst)
+        with pytest.raises(of.InvalidInstanceError, match="finite sum"):
+            of.evaluate(of.Schedule(period_of=(1,) * inst.n_projects), inst)
+
+    def test_nan_table_entry_does_not_match(self, paper_instance):
+        # the match tolerance scales with the entry, and a NaN entry must not
+        # scale it out of the test
+        from dataclasses import replace
+
+        p0 = replace(paper_instance.projects[0], raw_cost=15.0, cost_pv=(15.0, math.nan, 15.0))
+        bad = replace(paper_instance, projects=(p0,) + paper_instance.projects[1:])
+        msgs = of.validate_instance(bad)
+        assert "project 1: cost_pv[2] = nan does not match raw_cost discounted to period 2 (15.0)" in msgs
 
     def test_negative_rate_with_raw_cost_is_reported(self, paper_instance):
         from dataclasses import replace

@@ -1,10 +1,12 @@
+import inspect
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import optfolio as of
 from optfolio.valuation import build_tables, score
@@ -224,6 +226,19 @@ class TestEnumerateOptimal:
             of.enumerate_optimal(paper_instance, cap=1000)
         assert str(info.value) == "search space N^n_p = 2187 exceeds enumeration cap 1000"
 
+    def test_solves_with_few_frames_left_below_the_recursion_limit(self, paper_instance):
+        # the 7-project search needs about 13 frames; it is called with 38
+        # left, so only running out of them would refuse it
+        tables = build_tables(paper_instance)
+
+        def at(depth):
+            if depth < sys.getrecursionlimit() - 38:
+                return at(depth + 1)
+            return of.enumerate_optimal(tables)
+
+        res = at(len(inspect.stack(0)) + 1)
+        assert res.best_breakdown.total_value == 203
+
     def test_lexicographic_tie_break(self):
         # two identical projects, no constraints binding: 4 schedules tie
         inst = of.Instance(
@@ -304,7 +319,67 @@ class TestCountFeasible:
         assert of.enumerate_optimal(paper_instance).feasible_count == 2
 
 
+_TOP = sys.float_info.max
+# mostly small amounts, some near the top of the float range, where two of
+# them can sum past it
+_AMOUNT = st.one_of(*[st.floats(1.0, 100.0)] * 4, st.sampled_from([1e307, 1e308, _TOP / 2, _TOP]))
+
+
+@st.composite
+def instances_at_every_magnitude(draw):
+    """Instances of at most 81 schedules whose amounts reach the top of the float range."""
+    N = draw(st.integers(1, 3))
+    n_p = draw(st.integers(1, 6 if N < 3 else 4))
+
+    def amounts(zero_ok):
+        return tuple(draw(st.just(0.0) | _AMOUNT if zero_ok else _AMOUNT) for _ in range(N))
+
+    pairs = draw(st.lists(
+        st.tuples(st.integers(1, n_p), st.integers(1, n_p)).filter(lambda e: e[0] < e[1]),
+        unique=True,
+        max_size=3,
+    ))
+    return of.Instance(
+        n_projects=n_p,
+        n_periods=N,
+        projects=tuple(
+            of.Project(id=i, label=f"P{i}", cost_pv=amounts(False), return_pv=amounts(True))
+            for i in range(1, n_p + 1)
+        ),
+        edges=tuple(
+            of.DependencyEdge(a, b, draw(st.sampled_from([1.0, 0.5])), draw(st.just(0.0) | _AMOUNT))
+            for a, b in pairs
+        ),
+        budgets=amounts(False),
+        q_min=(0,) * N,
+        # the last period can take every project, so q_max never faults
+        q_max=tuple(draw(st.integers(0, n_p)) for _ in range(N - 1)) + (n_p,),
+        total_dependency_mode=draw(st.sampled_from(["hard", "soft"])),
+    )
+
+
 class TestOracleProperties:
+    @given(inst=instances_at_every_magnitude())
+    @settings(max_examples=100, deadline=None)
+    def test_valid_instances_agree_at_every_magnitude(self, inst):
+        # a budget sum that overflowed scored every excess 0, and costs or
+        # returns summing past the float range valued schedules at -inf or inf
+        assume(not of.validate_instance(inst))
+        tables = build_tables(inst)
+        for per in itertools.product(range(1, inst.n_periods + 1), repeat=inst.n_projects):
+            b = of.evaluate(of.Schedule(per), tables)
+            assert (score(per, tables)[0] == 0.0) == b.feasible
+            assert math.isfinite(b.total_value) or not b.feasible
+        ga = of.run_ga(tables, of.GaConfig(population_size=6, max_generations=4, seed=1))
+        assert (ga.best_breakdown.violation_score == 0.0) == ga.best_breakdown.feasible
+        count, best = brute_force(inst)
+        res = of.enumerate_optimal(tables)
+        assert res.feasible_count == count
+        if best is None:
+            assert res.best_schedule is None
+        else:
+            assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
+
     def test_optimum_dominates_sampled_schedules(self, paper_instance):
         res = of.enumerate_optimal(paper_instance)
         rng = random.Random(11)

@@ -17,14 +17,18 @@ Every float sum that reaches output is an explicit left-to-right loop, not
 builtin `sum`, which is compensated from Python 3.12 on; so every digest
 here holds on each Python that CI runs. The return-stream case pins `evaluate` output
 whose PV tables the loader derives from raw costs and return streams, whose
-digits a compensated sum changes.
+digits a compensated sum changes. The last case pins the stdout of
+`scripts/reproduce_case_study.py`.
 """
 
+import contextlib
 import hashlib
 import io
 import json
 import random
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +251,12 @@ def test_return_stream_evaluate_output_is_pinned(tmp_path):
     assert (code, _digest(out.getvalue())) == (
         0, "cdd63c39e54821a927ed876fe869d69a9659bc7c4e8eccba124118987ca9bd6e"
     )
+
+
+def test_case_study_output_is_pinned():
+    # the script needs no numpy, so every Python can check these bytes
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_case_study.py"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(script), run_name="__main__")
+    assert _digest(out.getvalue()) == "e8033daed19c3a6b9c893fc3eeb25da2d5561fecf1495dff13c2677f9b763401"
