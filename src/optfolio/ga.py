@@ -9,13 +9,13 @@ individual dominates any infeasible one.
 Each generation is scored and ranked in one step. Its distinct genomes
 not yet in the memo are valued in one statement: one numpy batch
 (`batch.score_batch`, bit-identical to `valuation.score`) when they hold
-at least BATCH_MIN_GENES genes, else one `score` call each. numpy is
-imported on the first batch, so a solve too small to batch never loads
-it. The memo keeps each genome's `candidate_key` (violation, -value,
-genome), computed once, which encodes the feasibility-first order: the
-generation's best is `min(keys)`, the elites are the least keys (equal
-keys hold equal genomes), and a tournament returns the genome of its
-least key.
+at least BATCH_MIN_GENES genes and every period fits the batch's byte
+(N <= 255), else one `score` call each. numpy is imported on the first
+batch, so a solve too small to batch never loads it. The memo keeps each
+genome's `candidate_key` (violation, -value, genome), computed once,
+which encodes the feasibility-first order: the generation's best is
+`min(keys)`, the elites are the least keys (equal keys hold equal
+genomes), and a tournament returns the genome of its least key.
 
 Random draws. Each restart r seeds its own `random.Random(f"{seed}:{r}")`
 and draws, in this order:
@@ -52,9 +52,10 @@ from .valuation import EvaluationBreakdown, Tables, _breakdown, build_tables, ca
 
 # A generation's new genomes are scored in one numpy batch when they hold at
 # least this many genes (genomes x n_p), else one by one with `score`. A
-# batch beats the loop from about 90-500 genes on, but the first one in a
-# process also imports numpy (about 170 ms), which a desk-scale solve never
-# earns back; at 2048 a population of 100 batches from n_p=21 up.
+# batch beats the loop from about 60-200 genes on (n_p 7-200, one core of
+# a shared 2-vCPU x86 machine), but the first one in a process also imports
+# numpy (about 170 ms), which a desk-scale solve never earns back; at 2048 a
+# population of 100 batches from n_p=21 up.
 BATCH_MIN_GENES = 2048
 
 
@@ -239,7 +240,7 @@ def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
             new = [p for p in dict.fromkeys(population) if p not in keyed]
             scored = (
                 batch_scorer()(new)
-                if len(new) * n_p >= BATCH_MIN_GENES
+                if len(new) * n_p >= BATCH_MIN_GENES and N <= 255
                 else [score(p, tables) for p in new]
             )
             keyed.update((p, candidate_key(p, s)) for p, s in zip(new, scored))

@@ -82,6 +82,12 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
     Ties break to the lexicographically smallest period vector (guaranteed
     by enumerating in lexicographic order and keeping strict improvements
     only), so the result is independent of any search-order partitioning.
+
+    Only the walk is guarded against the recursion limit: a `RecursionError`
+    there becomes `SearchSpaceCapExceeded`. The set-up before it (building
+    the tables, summing the tolerance) is not, so a caller with a few frames
+    left below the limit gets the bare `RecursionError`. No CLI path calls
+    it that deep.
     """
     tables = build_tables(inst)
     n_p, N = tables.n_projects, tables.n_periods

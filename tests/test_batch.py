@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import optfolio as of
 from optfolio import batch, ga
@@ -87,6 +88,85 @@ def test_empty_batch():
     assert batch.score_batch([], batch.compile_tables(tables)) == []
 
 
+# amounts and levels whose products and sums round differently in another
+# order (hypothesis favours round floats, which would hide that), and signed
+# zeros where validation allows them
+_AMOUNT = st.builds(lambda k, e: k / 7 * 10.0**e, st.integers(1, 999), st.integers(-2, 3))
+_ZERO_OK = _AMOUNT | st.sampled_from([0.0, -0.0])
+_LEVEL = st.integers(1, 97).map(lambda k: k / 97)
+
+
+@st.composite
+def scoring_cases(draw):
+    """A valid instance and a population that exercise every accumulation of the batch.
+
+    Edges follow a drawn topological order, so one owner can hold up to
+    n_p - 1 factor or option edges (many ranks); returns and option values
+    may be 0.0 or -0.0, and when returns equal costs every DCF term is 0.0
+    (costs are > 0, so no valid DCF term is -0.0). The population holds
+    1-12 genomes, duplicates among them.
+    """
+    N = draw(st.integers(1, 4))
+    n_p = draw(st.integers(0, 12))
+    order = draw(st.permutations(range(1, n_p + 1)))
+    dense = draw(st.booleans())
+    pairs = [
+        (a, b) for i, a in enumerate(order) for b in order[i + 1:] if dense or draw(st.booleans())
+    ]
+    costs = [tuple(draw(_AMOUNT) for _ in range(N)) for _ in range(n_p)]
+    zero_dcf = draw(st.booleans())
+    # the project last in the order can hold the most factor edges; its
+    # returns dominate, so the last bit of its partial factor shows in the total
+    scale = [1e6 if i + 1 == order[-1] else 1.0 for i in range(n_p)]
+    inst = of.Instance(
+        n_projects=n_p,
+        n_periods=N,
+        projects=tuple(
+            of.Project(
+                id=i + 1,
+                label=f"P{i + 1}",
+                cost_pv=c,
+                return_pv=c if zero_dcf else tuple(draw(_ZERO_OK) * scale[i] for _ in range(N)),
+            )
+            for i, c in enumerate(costs)
+        ),
+        edges=tuple(of.DependencyEdge(a, b, draw(_LEVEL), draw(_ZERO_OK)) for a, b in pairs),
+        budgets=tuple(draw(_AMOUNT) for _ in range(N)),
+        q_min=(0,) * N,
+        q_max=tuple(draw(st.integers(0, n_p)) for _ in range(N - 1)) + (n_p,),
+        total_dependency_mode=draw(st.sampled_from(["hard", "soft"])),
+    )
+    genome = st.tuples(*[st.integers(1, N)] * n_p)
+    population = draw(st.lists(genome, min_size=1, max_size=8))
+    population += draw(st.lists(st.sampled_from(population), max_size=4))
+    return inst, population
+
+
+@given(scoring_cases())
+@settings(max_examples=300, deadline=None)
+def test_batch_equals_score_by_repr(case):
+    inst, population = case
+    tables = build_tables(inst)
+    want = [score(p, tables) for p in population]
+    # repr tells apart every pair of distinct floats, 0.0 and -0.0 included
+    assert repr(batch.score_batch(population, batch.compile_tables(tables))) == repr(want)
+
+
+def test_genomes_of_no_projects_sum_to_zero():
+    inst = of.Instance(
+        n_projects=0, n_periods=2, projects=(), edges=(), budgets=(1.0, 1.0), q_min=(0, 0), q_max=(0, 0)
+    )
+    tables = build_tables(inst)
+    got = batch.score_batch([(), ()], batch.compile_tables(tables))
+    assert repr(got) == repr([score((), tables)] * 2) == "[(0.0, 0.0), (0.0, 0.0)]"
+
+
+def test_periods_must_fit_a_byte():
+    tables = build_tables(of.generate_instance(2, 300, seed=1))
+    with pytest.raises(ValueError):
+        batch.score_batch([(1, 256)], batch.compile_tables(tables))
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("this scoring path must not run")
 
@@ -122,3 +202,18 @@ def test_run_ga_is_the_same_whichever_path_scores(monkeypatch, inst, cfg):
         assert res == scalar
         assert repr(res) == repr(scalar)
         assert repr(res.best_breakdown.total_value) == repr(scalar.best_breakdown.total_value)
+
+
+def test_run_ga_scores_periods_above_a_byte_with_score(monkeypatch):
+    # the first generation holds enough genes to batch, but N = 300 does not
+    # fit the batch's byte, so `score` values it, exactly as with batching off
+    inst = of.generate_instance(25, 300, edge_density=0.2, seed=14)
+    cfg = of.GaConfig(seed=5, max_generations=4)
+    assert cfg.population_size * inst.n_projects >= ga.BATCH_MIN_GENES
+    with monkeypatch.context() as m:
+        m.setattr(batch, "score_batch", _refuse)
+        default = of.run_ga(inst, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(ga, "BATCH_MIN_GENES", 10**9)
+        scalar = of.run_ga(inst, cfg)
+    assert repr(default) == repr(scalar)
