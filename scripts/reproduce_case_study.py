@@ -6,6 +6,7 @@ prints the optimal funding plan, per-period costs, and the value breakdown.
 """
 
 import optfolio as of
+from optfolio.model import left_sum
 from optfolio.serialization import bit_rows
 
 
@@ -21,12 +22,7 @@ def main():
         print(f"    {row}")
     print(f"  per-period costs: {b.total_cost_per_period} vs budgets {inst.budgets}")
     print(f"  projects per period: {b.count_per_period}")
-    # summed left to right: builtin sum() is compensated from Python 3.12,
-    # which could change the digits with the interpreter
-    dcf_sum = options = 0
-    for dcf, option in zip(b.dcf_values, b.option_accrued):
-        dcf_sum += dcf
-        options += option
+    dcf_sum, options = left_sum(b.dcf_values), left_sum(b.option_accrued)
     print(f"  DCF sum {dcf_sum}, options accrued {options}, total {b.total_value}")
     print(f"  feasible schedules in the whole space: {res.feasible_count}")
 

@@ -28,8 +28,11 @@ order, as `valuation._account` performs them for one tuple:
   floats it adds pairwise, in another order.
 
 Integer table values, which `score` sums exactly, must stay below 2**53 for
-this to hold; the JSON loader makes every value a float. The scalar `score`
-stays the reference that tests compare against.
+this to hold; the JSON loader makes every value a float. The violation is
+not restated here: the arrays of budget excess, cardinality violation and
+violated hard edges go to `valuation._violation`, which takes arrays as it
+takes floats. The scalar `score` stays the reference that tests compare
+against.
 
 Importing this module imports numpy, so only the GA imports it, and only
 once a generation is large enough to be worth it.
@@ -42,7 +45,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .valuation import Tables
+from .valuation import Tables, _violation
 
 
 @dataclass(frozen=True)
@@ -165,5 +168,5 @@ def score_batch(population: list[tuple[int, ...]], bt: BatchTables) -> list[tupl
     budget = np.add.accumulate(excess)[-1]
     card = (np.maximum(bt.q_min - count, 0) + np.maximum(count - bt.q_max, 0)).sum(axis=1)
     n_prec = np.count_nonzero(per[bt.hard_dep] < per[bt.hard_pred], axis=0)
-    violation = budget / bt.budget_total + card / max(1, n) + n_prec
+    violation = _violation(budget, card, n_prec, bt)
     return list(zip(violation.tolist(), total.tolist()))

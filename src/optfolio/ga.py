@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass
 from functools import cache, partial
 
-from .model import Instance, Schedule
+from .model import Instance, Schedule, left_sum
 from .valuation import EvaluationBreakdown, Tables, _breakdown, build_tables, candidate_key, score
 
 # A generation's new genomes are scored in one numpy batch when they hold at
@@ -254,15 +254,11 @@ def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
             best_key = gen_best if best_key is None else min(best_key, gen_best)
 
             feas_vals = [-key[1] for key in keys if key[0] == 0.0]
-            # left to right, not builtin sum(), for the same digits on every Python
-            feas_total = 0.0
-            for val in feas_vals:
-                feas_total += val
             trace.append(
                 TraceEntry(
                     generation=len(trace),
                     best_value=-best_key[1],
-                    mean_feasible_value=feas_total / len(feas_vals) if feas_vals else None,
+                    mean_feasible_value=left_sum(feas_vals) / len(feas_vals) if feas_vals else None,
                     feasible_count=len(feas_vals),
                     best_violation=best_key[0],
                 )

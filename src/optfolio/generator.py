@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 
-from .model import DependencyEdge, Instance, Project
+from .model import DependencyEdge, Instance, Project, left_sum
 
 
 def generate_instance(
@@ -43,11 +43,9 @@ def generate_instance(
 
     rng = random.Random(f"optfolio-gen:{seed}")
     projects = []
-    total_cost = 0.0
     for pid in range(1, n_projects + 1):
         cost = rng.uniform(10.0, 150.0)
         ret = rng.uniform(0.5 * cost, 3.0 * cost)
-        total_cost += cost
         projects.append(
             Project(
                 id=pid,
@@ -76,6 +74,7 @@ def generate_instance(
                     )
                 )
 
+    total_cost = left_sum(p.cost_pv[0] for p in projects)
     budget = budget_tightness * total_cost / n_periods
     # a NaN or infinite factor, or one large enough to overflow, passes the check above
     if not math.isfinite(budget):

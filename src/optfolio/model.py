@@ -8,12 +8,24 @@ every project to exactly one period, as a period-per-project vector.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 MONEY_TOL = 1e-9
 
 TOTAL_DEPENDENCY_MODES = ("hard", "soft")
+
+
+def left_sum(values) -> float:
+    """The float sum of values, added one at a time from 0.0, left to right.
+
+    Every total the package prints or divides by is summed this way, not
+    with builtin sum(): from Python 3.12 that sum is compensated, so its
+    digits would change with the interpreter.
+    """
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def cost_present_value(raw_cost: float, rate: float, k: int) -> float:
@@ -41,11 +53,7 @@ def return_present_value(stream: list[float], rate: float, k: int) -> float:
         raise ValueError(f"period index must be >= 1, got {k}")
     if rate < 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
-    # summed left to right: builtin sum() is compensated from Python 3.12,
-    # which would change the digits with the interpreter
-    at_funding = 0.0
-    for t, r in enumerate(stream, start=1):
-        at_funding += r / (1.0 + rate) ** t
+    at_funding = left_sum(r / (1.0 + rate) ** t for t, r in enumerate(stream, start=1))
     return at_funding / (1.0 + rate) ** (k - 1)
 
 
@@ -142,16 +150,14 @@ def validate_instance(inst: Instance) -> list[str]:
     if inst.total_dependency_mode not in TOTAL_DEPENDENCY_MODES:
         v.append(f"total_dependency_mode must be one of {TOTAL_DEPENDENCY_MODES}")
 
-    # summed left to right as build_tables sums them: the violation score
-    # divides by this sum, and an infinite one would score any excess 0
-    budget_total = 0.0
     for k, b in enumerate(inst.budgets, start=1):
         if not math.isfinite(b):
             v.append(f"budgets[{k}] must be finite, got {b}")
         elif b <= 0:
             v.append(f"budgets[{k}] must be > 0, got {b}")
-        else:
-            budget_total += b
+    # summed as build_tables sums them: the violation score divides by this
+    # sum, and an infinite one would score any excess 0
+    budget_total = left_sum(b for b in inst.budgets if 0 < b < math.inf)
     if math.isinf(budget_total):
         v.append(f"budgets must have a finite sum, got {budget_total}")
     if len(inst.q_min) == len(inst.q_max) == N:

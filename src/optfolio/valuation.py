@@ -15,15 +15,19 @@ times compiles it once and passes the `Tables` on. `score` is the
 hot-path kernel the solvers call on plain period tuples; `evaluate`, and
 each solver for the schedule it returns, report the same accounting in
 full. All run `_account`, whose per-project rules `partial_factor` and
-`option_term` the oracle also calls, so they agree exactly. `candidate_key`
-ranks scored period tuples feasibility-first.
+`option_term` the oracle also calls, so they agree exactly. `_violation`
+is the one statement of how badly a schedule breaks its constraints:
+`score`, each breakdown and `batch.score_batch` all compute it, and a
+schedule is feasible exactly when it is 0. `candidate_key` ranks scored
+period tuples feasibility-first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .model import Instance, Schedule, validate_instance
+from .model import Instance, Schedule, left_sum, validate_instance
 
 
 class InvalidInstanceError(ValueError):
@@ -35,7 +39,9 @@ class EvaluationBreakdown:
     """Full per-project and per-period accounting for one schedule.
 
     Per-project tuples hold project j at index j - 1, per-period tuples
-    period k at index k - 1.
+    period k at index k - 1. `feasible` is not stored: it is
+    `violation_score == 0`, and the score is positive whenever a budget,
+    cardinality bound or hard precedence edge is violated.
     """
 
     # return PV after the partial factor, minus cost PV, in the funded period
@@ -57,8 +63,11 @@ class EvaluationBreakdown:
     cardinality_excess: tuple[int, ...]
     # hard mode: total edges whose dependent is funded before its predecessor
     precedence_violations: tuple[tuple[int, int], ...]  # (predecessor, dependent)
-    feasible: bool
-    violation_score: float  # 0 exactly when feasible
+    violation_score: float  # `_violation`: 0 exactly when nothing above is violated
+
+    @property
+    def feasible(self) -> bool:
+        return self.violation_score == 0.0
 
 
 @dataclass(frozen=True)
@@ -111,9 +120,6 @@ def build_tables(inst: Instance | Tables) -> Tables:
         if e.level == 1.0 and not soft:
             hard_edges.append((pi, di))
         options_out[pi].append((di, e.option_value))
-    budget_total = 0.0
-    for b in inst.budgets:
-        budget_total += b
     return Tables(
         n_projects=n,
         n_periods=inst.n_periods,
@@ -125,7 +131,7 @@ def build_tables(inst: Instance | Tables) -> Tables:
         budgets=inst.budgets,
         q_min=inst.q_min,
         q_max=inst.q_max,
-        budget_total=budget_total,
+        budget_total=left_sum(inst.budgets),
     )
 
 
@@ -194,10 +200,20 @@ def option_term(j: int, per, t: Tables) -> float:
     return o
 
 
-def _violation(budget: float, card: int, n_prec: int, t: Tables) -> float:
-    # Scale-free mix: feasibility only needs zero-vs-nonzero plus a
-    # consistent order among infeasibles.
-    return budget / t.budget_total + card / max(1, t.n_projects) + n_prec
+def _violation(budget, card, n_prec, t):
+    """How badly a schedule breaks its constraints: 0 exactly when it breaks none.
+
+    `budget` is the total budget excess, `card` the total cardinality
+    violation and `n_prec` the number of violated hard edges; `t` is
+    anything with the instance's `budget_total` and `n_projects`. The
+    mix is scale-free, as feasibility-first ranking needs only zero against
+    nonzero plus a consistent order among infeasibles. An excess too small
+    to survive division by the budget total counts as the least positive
+    float, so it still scores above 0. Written with operators only, it
+    takes floats or numpy arrays alike, with the same bits.
+    """
+    q = budget / t.budget_total
+    return q + (q == 0) * (budget > 0) * math.ulp(0.0) + card / max(1, t.n_projects) + n_prec
 
 
 def score(periods: tuple[int, ...], t: Tables) -> tuple[float, float]:
@@ -244,7 +260,6 @@ def _breakdown(per: tuple[int, ...], t: Tables) -> EvaluationBreakdown:
         cardinality_shortfall=tuple(max(0, t.q_min[k] - cnt_k[k]) for k in range(N)),
         cardinality_excess=tuple(max(0, cnt_k[k] - t.q_max[k]) for k in range(N)),
         precedence_violations=tuple((pi + 1, di + 1) for pi, di in prec),
-        feasible=budget == 0.0 and card == 0 and not prec,
         violation_score=_violation(budget, card, len(prec), t),
     )
 

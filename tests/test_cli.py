@@ -213,6 +213,25 @@ class TestSolve:
         assert code == 2
         assert json.loads(out)["feasible"] is False
 
+    @pytest.mark.parametrize("command", ["solve", "exact"])
+    def test_excess_of_one_ulp_is_not_feasible(self, tmp_path, command):
+        # funding in period 1 overspends by one ulp; that excess over a
+        # budget total of 1e308 rounds to 0.0, yet [1] is still infeasible
+        doc = {
+            "n_p": 1,
+            "N": 3,
+            "budgets": [1.0, 1.0, 1e308],
+            "q_min": [0, 0, 0],
+            "q_max": [1, 0, 1],
+            "projects": [{"id": 1, "cost_pv": [1.0000000000000002, 1.0, 1.0], "return_pv": [10, 0, 0]}],
+        }
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(command, str(path))
+        assert code == 0
+        result = json.loads(out)
+        assert (result["period_of"], result["value"], result["feasible"]) == ([3], -1.0, True)
+
     @pytest.mark.parametrize("limit", ["0", "-3"])
     def test_stagnation_below_one_exits_one(self, limit):
         code, out = run_cli("solve", FIXTURE, "--seed", "1", "--stagnation", limit)

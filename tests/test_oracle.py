@@ -6,7 +6,7 @@ import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import optfolio as of
 from optfolio.valuation import build_tables, score
@@ -358,8 +358,30 @@ def instances_at_every_magnitude(draw):
     )
 
 
+def nothing_violated(b) -> bool:
+    """Feasibility read from a breakdown's per-period and per-edge fields alone."""
+    return (
+        not any(b.budget_excess)
+        and not any(b.cardinality_shortfall)
+        and not any(b.cardinality_excess)
+        and not b.precedence_violations
+    )
+
+
 class TestOracleProperties:
     @given(inst=instances_at_every_magnitude())
+    # period 1's excess of one ulp, divided by a budget total of 1e308,
+    # rounds to 0.0, yet (1,) is infeasible
+    @example(inst=of.Instance(
+        n_projects=1,
+        n_periods=3,
+        projects=(of.Project(1, "P1", cost_pv=(1.0000000000000002, 1.0, 1.0), return_pv=(0.0,) * 3),),
+        edges=(),
+        budgets=(1.0, 1.0, 1e308),
+        q_min=(0, 0, 0),
+        q_max=(1, 0, 1),
+        total_dependency_mode="hard",
+    ))
     @settings(max_examples=100, deadline=None)
     def test_valid_instances_agree_at_every_magnitude(self, inst):
         # a budget sum that overflowed scored every excess 0, and costs or
@@ -368,10 +390,11 @@ class TestOracleProperties:
         tables = build_tables(inst)
         for per in itertools.product(range(1, inst.n_periods + 1), repeat=inst.n_projects):
             b = of.evaluate(of.Schedule(per), tables)
-            assert (score(per, tables)[0] == 0.0) == b.feasible
+            assert (score(per, tables)[0] == 0.0) == nothing_violated(b)
+            assert b.feasible == nothing_violated(b)
             assert math.isfinite(b.total_value) or not b.feasible
         ga = of.run_ga(tables, of.GaConfig(population_size=6, max_generations=4, seed=1))
-        assert (ga.best_breakdown.violation_score == 0.0) == ga.best_breakdown.feasible
+        assert ga.best_breakdown.feasible == nothing_violated(ga.best_breakdown)
         count, best = brute_force(inst)
         res = of.enumerate_optimal(tables)
         assert res.feasible_count == count

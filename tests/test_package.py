@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -54,3 +55,37 @@ def test_bit_matrix_codec_is_gone(name):
     assert name not in of.__all__
     for module in (of, optfolio.model, optfolio.ga):
         assert not hasattr(module, name)
+
+
+# functions whose builtin `sum` calls are allowed, each with its reason;
+# every other total goes through `model.left_sum`, whose digits do not
+# change with the interpreter
+_SUM_ALLOWED = {
+    "validate_instance": "integer q bounds",
+    "enumerate_optimal": "a bound, a tolerance and the integer q_min sum, none of them printed",
+}
+
+
+def _builtin_sum_callers() -> set[tuple[str, str]]:
+    """(file, innermost enclosing function) of each builtin `sum` call in the package and scripts."""
+    root = README.parent
+    found = set()
+    for path in sorted([*(root / "src" / "optfolio").rglob("*.py"), *(root / "scripts").glob("*.py")]):
+        tree = ast.parse(path.read_text(), str(path))
+
+        def visit(node, function):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum":
+                found.add((path.relative_to(root).as_posix(), function))
+            for child in ast.iter_child_nodes(node):
+                inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                visit(child, child.name if inner else function)
+
+        visit(tree, None)
+    return found
+
+
+def test_builtin_sum_only_where_allowed():
+    callers = _builtin_sum_callers()
+    assert {f"{path}:{function}" for path, function in callers if function not in _SUM_ALLOWED} == set()
+    # an entry whose function no longer calls sum comes off the list
+    assert {function for _path, function in callers} >= set(_SUM_ALLOWED)

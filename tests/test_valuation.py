@@ -207,7 +207,8 @@ class TestEvaluate:
             b = of.evaluate(s, paper_instance)
             assert value == b.total_value
             assert viol == b.violation_score
-            assert (viol == 0.0) == b.feasible
+            violated = any(b.budget_excess + b.cardinality_shortfall + b.cardinality_excess)
+            assert b.feasible == (not violated and not b.precedence_violations)
 
     def test_score_agrees_exactly_on_generated_instances(self):
         # non-integer values and many edges per project: any difference in
@@ -236,7 +237,8 @@ class TestEvaluate:
                 b = of.evaluate(s, inst)
                 assert value == b.total_value
                 assert viol == b.violation_score
-                assert (viol == 0.0) == b.feasible
+                violated = any(b.budget_excess + b.cardinality_shortfall + b.cardinality_excess)
+                assert b.feasible == (not violated and not b.precedence_violations)
                 per = s.period_of
                 for j, k in enumerate(per):
                     f = partial_factor(j, per, tables)
