@@ -160,6 +160,12 @@ def validate_instance(inst: Instance) -> list[str]:
     budget_total = left_sum(b for b in inst.budgets if 0 < b < math.inf)
     if math.isinf(budget_total):
         v.append(f"budgets must have a finite sum, got {budget_total}")
+    # the solvers count against these and slice by them; bool is an int
+    # subclass, refused as the loader refuses it
+    for name, bounds in (("q_min", inst.q_min), ("q_max", inst.q_max)):
+        for k, q in enumerate(bounds, start=1):
+            if isinstance(q, bool) or not isinstance(q, int):
+                v.append(f"{name}[{k}] must be an integer, got {q!r}")
     if len(inst.q_min) == len(inst.q_max) == N:
         for k in range(N):
             lo, hi = inst.q_min[k], inst.q_max[k]

@@ -20,10 +20,13 @@ the kernel's.
 One walk does both jobs: it returns the number of feasible completions
 of the placed prefix. Below a child the bound skips it carries no running
 value, so that subtree's leaves pass the same tests and are counted, and
-none is valued. Below such a node where no budget can bind any more, the
-count depends only on the per-period counts and on the periods of the
-placed endpoints of hard edges crossing the depth, so it is memoized on
-them.
+none is valued. Whether any budget can bind is decided once, before the
+walk: none can when, in every period, the largest costs q_max allows sum
+below the budget. Then the walk tests no budget, and the count below a
+valueless node depends only on the per-period counts and on the periods
+of the placed endpoints of hard edges crossing the depth, so it is
+memoized on them. Otherwise every budget is tested and nothing is
+memoized.
 
 The recursion is one level per project, so a search the interpreter's
 recursion limit stops (RecursionError) is refused like one over the cap.
@@ -34,10 +37,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import sub
 
-from .model import Instance, Schedule
+from .model import Instance, Schedule, left_sum
 from .valuation import (
     EvaluationBreakdown,
     Tables,
@@ -54,10 +56,11 @@ DEFAULT_CAP = 10**7
 # same terms in different orders
 VALUE_RTOL = 1e-9
 
-# relative margin below a budget that a period's spend plus its largest
-# possible remaining spend must stay under before the walk below a skipped
-# child stops testing budgets; a float sum of n positive costs is within
-# n * 2**-53 of its exact value, relatively, so this covers any n below 10**6
+# relative margin below a budget that the sum of a period's largest costs,
+# as many as q_max allows, must stay under before the walk stops testing
+# budgets. That sum and a schedule's id-order spend add in different
+# orders; a float sum of n positive costs is within n * 2**-53 of its exact
+# value, relatively, so this covers any n below 10**6
 BUDGET_RTOL = 1e-9
 
 
@@ -85,7 +88,7 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
 
     Only the walk is guarded against the recursion limit: a `RecursionError`
     there becomes `SearchSpaceCapExceeded`. The set-up before it (building
-    the tables, summing the tolerance) is not, so a caller with a few frames
+    the tables, summing the tolerance, testing the budgets) is not, so a caller with a few frames
     left below the limit gets the bare `RecursionError`. No CLI path calls
     it that deep.
     """
@@ -164,29 +167,29 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
             best_value = exact
             best_per = periods
 
+    # the spend of a period is the id-order sum of at most q_max of its
+    # costs, so it stays below the budget when the q_max largest do
+    slack = all(
+        left_sum(sorted((c[k] for c in cost), reverse=True)[: q_max[k]]) < budgets[k] * (1 - BUDGET_RTOL)
+        for k in range(N)
+    )
     memo: dict[tuple, int] = {}
-    # built by `is_slack` at the first depth that needs them:
-    # limits[i][k - 1][c] is the period-k spend below which a node at depth
-    # i with c projects in period k cannot reach its budget, even with the
-    # largest period-k costs of the projects still to place, as many as
-    # q_max allows. crossing[i] lists the placed endpoints of the hard edges
-    # with one endpoint on each side of depth i. Built eagerly, they would
-    # add 2.4% to exact-search's oracle time and 17.6% to desk-certify's
-    limits: list[list[list[float]] | None] = [None] * n_p
-    crossing: list[list[int]] = []
+    # crossing[i] lists the placed endpoints of the hard edges with one
+    # endpoint on each side of depth i
+    ends = [sorted(e) for e in tables.hard_edges]
+    crossing = [sorted({a for a, b in ends if a < d <= b}) for d in range(n_p)]
 
-    def walk(i: int, value: float | None, shortfall: int, slack: bool) -> int:
+    def walk(i: int, value: float | None, shortfall: int) -> int:
         """Feasible completions of `per[:i]`, scoring those that can beat the incumbent.
 
         `value` is the running value of `per[:i]`, or None below a child the
-        bound skips: there leaves are counted and none is valued. Only such
-        a node can be `slack` (see `is_slack`); below it the budget tests
-        always pass, so they are skipped and each count is memoized. The
-        last depth is not memoized, as counting its periods costs less than
-        a lookup.
+        bound skips: there leaves are counted and none is valued. When no
+        budget can bind (`slack`), no budget is tested and each count-only
+        node is memoized. The last depth is not memoized, as counting its
+        periods costs less than a lookup.
         """
         remaining = n_p - i - 1
-        memoize = slack and remaining
+        memoize = slack and value is None and remaining
         if memoize:
             key = (i, *count, *[per[e] for e in crossing[i]])
             known = memo.get(key)
@@ -225,9 +228,8 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
             count[k - 1] = n + 1
             spent[k - 1] = old + cost_i[k - 1]
             if v is not None and v + reach_next <= best_value:
-                total += walk(i + 1, None, short, is_slack(i + 1))
-            else:
-                total += walk(i + 1, v, short, slack)
+                v = None
+            total += walk(i + 1, v, short)
             count[k - 1] = n
             # restored by value: subtracting the cost back can drift the sum
             spent[k - 1] = old
@@ -235,39 +237,9 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
             memo[key] = total
         return total
 
-    def is_slack(i: int) -> bool:
-        """True when no completion of `per[:i]` can bring a period's spend to its budget.
-
-        Then the same holds at every node below, whose spend has grown by
-        costs the bound already counted. The last depth is not tested:
-        `walk` does not memoize it. Builds `limits[i]`, and `crossing` for
-        the memo, on first use.
-        """
-        if i == n_p - 1:
-            return False
-        lim = limits[i]
-        if lim is None:
-            # the float sums of the m largest costs and of a path's costs
-            # differ in order; each is within n_p * 2**-53 of the exact sum,
-            # relative to the budget it is compared with, which BUDGET_RTOL
-            # covers
-            rest = n_p - i
-            lim = limits[i] = []
-            for k in range(N):
-                top = [0.0, *accumulate(sorted((cost[j][k] for j in range(i, n_p)), reverse=True))]
-                room = budgets[k] * (1 - BUDGET_RTOL)
-                lim.append([room - top[min(q_max[k] - c, rest)] for c in range(q_max[k] + 1)])
-            if not crossing:
-                ends = [sorted(e) for e in tables.hard_edges]
-                crossing.extend(sorted({a for a, b in ends if a < d <= b}) for d in range(n_p))
-        for s, lim_k, c in zip(spent, lim, count):
-            if s >= lim_k[c]:
-                return False
-        return True
-
     if n_p:
         try:
-            feasible_count = walk(0, 0.0, sum(q_min), False)
+            feasible_count = walk(0, 0.0, sum(q_min))
         except RecursionError:
             # one frame per project: the depth, not the space, is too large
             raise SearchSpaceCapExceeded(

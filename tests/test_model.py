@@ -272,11 +272,14 @@ class TestValidateInstance:
                 "project 1: return_pv[3] must be >= 0, got -0.5",
             ),
             (_first_project(id=9), "project ids must be exactly 1..7, got [2, 3, 4, 5, 6, 7, 9]"),
+            (dict(q_max=(3.0, 3, 3)), "q_max[1] must be an integer, got 3.0"),
+            (dict(q_max=(3, 3, 3.5)), "q_max[3] must be an integer, got 3.5"),
+            (dict(q_min=(2, True, 2)), "q_min[2] must be an integer, got True"),
         ],
         ids=[
             "n_p", "N", "projects-length", "budgets-length", "q_min-length", "q_max-length",
             "cost_pv-length", "return_pv-length", "mode", "budget", "cost", "zero-cost", "return",
-            "ids",
+            "ids", "q_max-float", "q_max-fraction", "q_min-bool",
         ],
     )
     def test_each_invariant_is_reported(self, paper_instance, change, message):
@@ -339,6 +342,22 @@ class TestValidateInstance:
         assert of.validate_instance(inst) == [
             "the projects' largest returns and the option values must have a finite sum, got inf"
         ]
+
+    @pytest.mark.parametrize("case", ["paper", "generated"])
+    def test_fractional_q_bound_is_never_solved(self, paper_instance, case):
+        # the oracle raised TypeError on q_max 3.0; on the 30-project
+        # instance `score` compared counts with 10.5 while the batch
+        # truncated it to 10, and they scored one genome differently
+        from dataclasses import replace
+
+        from optfolio.valuation import build_tables
+
+        if case == "paper":
+            inst = replace(paper_instance, q_max=(3.0, 3, 3))
+        else:
+            inst = replace(of.generate_instance(30, 3, seed=1), q_max=(10.5, 11, 11))
+        with pytest.raises(of.InvalidInstanceError, match=r"q_max\[1\] must be an integer"):
+            build_tables(inst)
 
     @pytest.mark.parametrize("case", ["budgets-overflow", "paper", "two-projects"])
     def test_overflowing_budget_sum_is_never_solved(self, paper_instance, case):

@@ -116,7 +116,8 @@ class TestEnumerateOptimal:
         # budgets that never bind (the count-only walk memoizes), that bind
         # only for the costliest selections q_max allows, or that equal a
         # subset's cost sum; returns differ by period, so the bound has
-        # subtrees to skip
+        # subtrees to skip, and so do costs, so each budget reads its own
+        # cost column
         n_p, N = data.draw(st.integers(3, 7)), data.draw(st.integers(2, 3))
         inst = of.generate_instance(
             n_p,
@@ -127,11 +128,18 @@ class TestEnumerateOptimal:
         )
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         projects = tuple(
-            replace(p, return_pv=tuple(r * rng.uniform(0.5, 1.5) for r in p.return_pv))
+            replace(
+                p,
+                cost_pv=tuple(c * rng.uniform(0.5, 1.5) for c in p.cost_pv),
+                return_pv=tuple(r * rng.uniform(0.5, 1.5) for r in p.return_pv),
+            )
             for p in inst.projects
         )
-        # the q_max largest costs bound any period's spend
-        heaviest = sum(sorted((p.cost_pv[0] for p in projects), reverse=True)[: inst.q_max[0]])
+        # a period's q_max largest costs bound its spend
+        heaviest = [
+            sum(sorted((p.cost_pv[k] for p in projects), reverse=True)[: inst.q_max[k]])
+            for k in range(N)
+        ]
         budget = data.draw(st.sampled_from(("slack", "tight", "subset")))
         scale = 2.0 if budget == "slack" else data.draw(st.floats(0.4, 1.1))
         q_min = tuple(data.draw(st.integers(0, hi)) for hi in inst.q_max)
@@ -140,7 +148,7 @@ class TestEnumerateOptimal:
         inst = replace(
             inst,
             projects=projects,
-            budgets=(scale * heaviest,) * N,
+            budgets=tuple(scale * h for h in heaviest),
             q_min=q_min,
             total_dependency_mode=data.draw(st.sampled_from(("hard", "soft"))),
         )
@@ -176,6 +184,29 @@ class TestEnumerateOptimal:
         count, best = brute_force(inst)
         res = of.enumerate_optimal(inst)
         assert count == res.feasible_count == 6
+        assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
+
+    def test_budget_margin_covers_summation_order(self):
+        # the four unit costs and 1e16, added largest first, stay at 1e16,
+        # under the period-1 budget; added in id order they round to
+        # 1e16 + 4, over it. Without BUDGET_RTOL the walk would call the
+        # budget slack and count that schedule
+        returns = [(1e9, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1e16, 1e16)]
+        inst = of.Instance(
+            n_projects=5,
+            n_periods=2,
+            projects=tuple(
+                of.Project(id=i + 1, label=f"P{i + 1}", cost_pv=(c, c), return_pv=r)
+                for i, (c, r) in enumerate(zip((1.0, 1.0, 1.0, 1.0, 1e16), returns))
+            ),
+            edges=(),
+            budgets=(1e16 + 2, 1e17),
+            q_min=(0, 0),
+            q_max=(5, 5),
+        )
+        count, best = brute_force(inst)
+        res = of.enumerate_optimal(inst)
+        assert count == res.feasible_count == 27
         assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
 
     def test_scores_only_leaves_that_can_beat_the_incumbent(self, monkeypatch):
