@@ -11,11 +11,18 @@ A running value is carried down the recursion: each project's DCF term
 (return times `partial_factor`, less cost) and `option_term` join once the
 periods they read are placed, so each term is the kernel's. An admissible
 bound on the terms still to join (Land and Doig, Econometrica 28, 1960)
-skips every subtree in which no leaf can beat the incumbent; a subtree
-that could tie it is searched. `score` values each leaf whose running value
-can beat the incumbent, and must agree with that value; the value it
-returns is the one reported, and the breakdown of the reported schedule is
-the kernel's.
+skips every subtree in which no leaf can beat the incumbent. It counts
+each DCF term at its best period and each option edge at its value, less
+the edges that can no longer accrue. An edge pays only when its dependent
+is funded strictly later than its predecessor, so until the predecessor's
+option term joins, the bound writes off all of its edges once it sits in
+period N, and each edge whose dependent is placed in its period or
+earlier. Option values are >= 0, so the bound stays admissible; it keeps
+a float margin above the best leaf, so a subtree that could tie the
+incumbent is searched. `score` values each leaf whose running value can
+beat the incumbent, and must agree with that value; the value it returns
+is the one reported, and the breakdown of the reported schedule is the
+kernel's.
 
 One walk does both jobs: it returns the number of feasible completions
 of the placed prefix. Below a child the bound skips it carries no running
@@ -88,9 +95,9 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
 
     Only the walk is guarded against the recursion limit: a `RecursionError`
     there becomes `SearchSpaceCapExceeded`. The set-up before it (building
-    the tables, summing the tolerance, testing the budgets) is not, so a caller with a few frames
-    left below the limit gets the bare `RecursionError`. No CLI path calls
-    it that deep.
+    the tables, summing the tolerance, testing the budgets) is not, so a
+    caller with a few frames left below the limit gets the bare
+    `RecursionError`. No CLI path calls it that deep.
     """
     tables = build_tables(inst)
     n_p, N = tables.n_projects, tables.n_periods
@@ -120,6 +127,16 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
     dcf_at: list[list[int]] = [[] for _ in range(n_p)]
     option_at: list[list[int]] = [[] for _ in range(n_p)]
     term_max = [0.0] * n_p
+    # an option edge p -> d accrues only if p is funded before d, so until
+    # p's option term joins the bound writes off each edge that no longer
+    # can: all of p's edges once p is in period N, and p -> d once both
+    # are placed with per[d] <= per[p]. own_at[i] lists project i's edges
+    # and in_at[i] the edges into i from a placed owner, each only while
+    # its owner's term is still to join; leave_at[i] lists the owners whose
+    # term, with its written-off edges, joins at depth i
+    own_at: list[tuple[tuple[int, float], ...]] = [()] * n_p
+    in_at: list[list[tuple[int, float]]] = [[] for _ in range(n_p)]
+    leave_at: list[list[int]] = [[] for _ in range(n_p)]
     for j in range(n_p):
         d = max([j] + [pi for pi, _keep in tables.factor_in[j]])
         dcf_at[d].append(j)
@@ -128,6 +145,12 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
             d = max([j] + [di for di, _val in tables.options_out[j]])
             option_at[d].append(j)
             term_max[d] += sum(val for _di, val in tables.options_out[j])
+            if d > j:
+                own_at[j] = tables.options_out[j]
+                leave_at[d].append(j)
+                for di, val in tables.options_out[j]:
+                    if j < di < d:
+                        in_at[di].append((j, val))
 
     # scaled by a bound on the summed magnitude of all terms, which bounds
     # the rounding error of either sum
@@ -141,7 +164,15 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
     # a leaf is scored when its running value + tol beats the incumbent. The
     # running value of a leaf below a node at depth i is within tol of the
     # node's value plus the terms joining at depth >= i, so no leaf below a
-    # node whose value + reach[i] is at most the incumbent is scored
+    # node whose value + reach[i] is at most the incumbent is scored.
+    # Below a valued node the walk also subtracts `dead`, the values of the
+    # edges written off so far: each is >= 0 and accrues nothing, so the
+    # bound stays admissible in exact arithmetic. With E option edges, the
+    # running value takes at most n_p + E roundings and `dead`, which adds
+    # and removes each edge's value at most once, at most 2 * E, each within
+    # 2**-53 of the magnitude tol scales. The tol in reach that covers the
+    # running value's error so covers both while n_p + 3 * E < 9 * 10**6,
+    # and a subtree that can tie the incumbent is still searched
     reach = [2 * tol] * (n_p + 1)
     for i in range(n_p - 1, -1, -1):
         reach[i] = reach[i + 1] + term_max[i]
@@ -179,11 +210,12 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
     ends = [sorted(e) for e in tables.hard_edges]
     crossing = [sorted({a for a, b in ends if a < d <= b}) for d in range(n_p)]
 
-    def walk(i: int, value: float | None, shortfall: int) -> int:
+    def walk(i: int, value: float | None, shortfall: int, dead: float) -> int:
         """Feasible completions of `per[:i]`, scoring those that can beat the incumbent.
 
         `value` is the running value of `per[:i]`, or None below a child the
-        bound skips: there leaves are counted and none is valued. When no
+        bound skips: there leaves are counted and none is valued. `dead` is
+        the option value the bound writes off below a valued node. When no
         budget can bind (`slack`), no budget is tested and each count-only
         node is memoized. The last depth is not memoized, as counting its
         periods costs less than a lookup.
@@ -198,6 +230,8 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
         cost_i = cost[i]
         dcf_js, option_js = dcf_at[i], option_at[i]
         reach_next = reach[i + 1]
+        own_i, in_i, leave_i = own_at[i], in_at[i], leave_at[i]
+        book = value is not None and (own_i or in_i or leave_i)
         total = 0
         lo, hi = 1, N
         for other in after_at[i]:
@@ -227,9 +261,27 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
                 continue
             count[k - 1] = n + 1
             spent[k - 1] = old + cost_i[k - 1]
-            if v is not None and v + reach_next <= best_value:
-                v = None
-            total += walk(i + 1, v, short)
+            if v is None:
+                total += walk(i + 1, None, short, 0.0)
+            else:
+                w = dead
+                if book:
+                    # a term joining here takes its written-off edges out of
+                    # `dead`; then the edges this placement kills go in
+                    for j in leave_i:
+                        pj = per[j]
+                        for d, val in own_at[j]:
+                            if pj == N or (d < i and per[d] <= pj):
+                                w -= val
+                    for d, val in own_i:
+                        if k == N or (d < i and per[d] <= k):
+                            w += val
+                    for p, val in in_i:
+                        if k <= per[p] < N:
+                            w += val
+                if v + reach_next - w <= best_value:
+                    v = None
+                total += walk(i + 1, v, short, w)
             count[k - 1] = n
             # restored by value: subtracting the cost back can drift the sum
             spent[k - 1] = old
@@ -239,7 +291,7 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
 
     if n_p:
         try:
-            feasible_count = walk(0, 0.0, sum(q_min))
+            feasible_count = walk(0, 0.0, sum(q_min), 0.0)
         except RecursionError:
             # one frame per project: the depth, not the space, is too large
             raise SearchSpaceCapExceeded(

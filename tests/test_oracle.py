@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import optfolio as of
-from optfolio.valuation import build_tables, score
+from optfolio.valuation import build_tables, option_term, score
 
 
 def brute_force(inst):
@@ -224,6 +224,24 @@ class TestEnumerateOptimal:
         assert res.feasible_count > 1000
         assert len(calls) < res.feasible_count / 10
         assert res.best_schedule.period_of in calls
+
+    def test_bound_writes_off_option_edges_that_cannot_accrue(self, monkeypatch):
+        # the pinned 13x3 chain document: with every option edge counted in
+        # full until its term joins, the search takes 2,093 option terms
+        import optfolio.oracle as oracle
+        from test_pinned_output import chain_instance
+
+        calls = 0
+
+        def counting_option_term(j, per, tables):
+            nonlocal calls
+            calls += 1
+            return option_term(j, per, tables)
+
+        monkeypatch.setattr(oracle, "option_term", counting_option_term)
+        res = of.enumerate_optimal(chain_instance())
+        assert res.feasible_count == 20178
+        assert calls <= 600
 
     def test_budget_forces_period(self):
         inst = of.Instance(
