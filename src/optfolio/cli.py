@@ -8,16 +8,18 @@ Subcommands:
   gen       write a random valid instance file
 
 Exit codes: 0 success, 1 input/usage error, 2 infeasible result from
-solve or exact, 3 enumeration cap exceeded (N^n_p over --cap, or more
-projects than the exact search can recurse through). evaluate and sweep
-exit 0 whenever they print a result: the breakdown or the row reports an
-infeasible schedule or cell. A command that exits 1 or 3 prints nothing on
-stdout.
+solve or exact (read from the document's `feasible`), 3 enumeration cap
+exceeded (N^n_p over --cap, or more projects than the exact search can
+recurse through). evaluate and sweep exit 0 whenever they print a result:
+the breakdown or the row reports an infeasible schedule or cell. A command
+that exits 1 or 3 prints nothing on stdout.
 
-Defaults live only in the library: each GA and gen flag stores under the
-GaConfig field or generate_instance parameter it sets, and only the flags
-given are forwarded, as keyword arguments. `sweep --method exact` refuses
-GA flags rather than ignore them.
+Defaults live only in the library: each GA, gen and --cap flag stores
+under the GaConfig field or the generate_instance or enumerate_optimal
+parameter it sets, and only the flags given are forwarded, as keyword
+arguments, so --cap defaults to oracle.DEFAULT_CAP. --cap belongs to exact
+and `sweep --method exact`: sweep refuses GA flags under `--method exact`
+and --cap under `--method ga` (exit 1) rather than ignore them.
 
 `main` is cheap to call repeatedly in one process: the parser is built on
 the first call and shared by the rest, since parsing keeps no state in it.
@@ -36,7 +38,7 @@ from dataclasses import replace
 from . import __version__
 from .ga import GaConfig, run_ga
 from .generator import generate_instance
-from .oracle import DEFAULT_CAP, SearchSpaceCapExceeded, enumerate_optimal
+from .oracle import SearchSpaceCapExceeded, enumerate_optimal
 from .serialization import (
     InstanceFormatError,
     breakdown_to_dict,
@@ -82,21 +84,25 @@ def _given(args: argparse.Namespace, target) -> dict:
     return {k: v for k, v in vars(args).items() if k in params}
 
 
+def _write_result(doc: dict, out) -> int:
+    """Print a solver's result document: exit 0 when it is feasible, 2 when not."""
+    out.write(dump_json(doc))
+    return EXIT_OK if doc["feasible"] else EXIT_INFEASIBLE
+
+
 def cmd_solve(args: argparse.Namespace, out) -> int:
     inst = load_instance(args.instance)
     res = run_ga(inst, GaConfig(**_given(args, GaConfig)))
     if args.trace_out:
         with open(args.trace_out, "w") as fh:
             fh.write(trace_to_csv(res.trace))
-    out.write(dump_json(solve_result_to_dict(res)))
-    return EXIT_OK if res.best_breakdown.feasible else EXIT_INFEASIBLE
+    return _write_result(solve_result_to_dict(res), out)
 
 
 def cmd_exact(args: argparse.Namespace, out) -> int:
     inst = load_instance(args.instance)
-    res = enumerate_optimal(inst, cap=args.cap)
-    out.write(dump_json(oracle_result_to_dict(res)))
-    return EXIT_OK if res.feasible else EXIT_INFEASIBLE
+    res = enumerate_optimal(inst, **_given(args, enumerate_optimal))
+    return _write_result(oracle_result_to_dict(res), out)
 
 
 # digits, commas and whitespace: a period list or bit rows, never a path
@@ -133,33 +139,30 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     build_tables(inst)
     qmins = _parse_range(args.qmin_range, "--qmin-range")
     qmaxs = _parse_range(args.qmax_range, "--qmax-range")
-    ga_fields = _given(args, GaConfig)
+    ga_fields, exact_fields = _given(args, GaConfig), _given(args, enumerate_optimal)
     if args.method == "exact" and ga_fields:
         flags = ", ".join(flag for flag, dest, _kind in _GA_FLAGS if dest in ga_fields)
         raise ValueError(f"--method exact takes no GA flags, got {flags}")
+    if args.method == "ga" and exact_fields:
+        raise ValueError("--method ga takes no --cap")
     cfg = GaConfig(**ga_fields) if args.method == "ga" else None
     # written once at the end, so a cell that fails leaves stdout empty
     rows = ["q_min,q_max,status,value,schedule\n"]
     for qmin in qmins:
         for qmax in qmaxs:
-            cell = replace(
-                inst,
-                q_min=(qmin,) * inst.n_periods,
-                q_max=(qmax,) * inst.n_periods,
-            )
+            cell = replace(inst, q_min=(qmin,) * inst.n_periods, q_max=(qmax,) * inst.n_periods)
             # the solver's table build is the cell's gate (q_min > q_max included)
             try:
                 if args.method == "exact":
-                    res = enumerate_optimal(cell, cap=args.cap)
+                    doc = oracle_result_to_dict(enumerate_optimal(cell, **exact_fields))
                 else:
-                    res = run_ga(cell, cfg)
+                    doc = solve_result_to_dict(run_ga(cell, cfg))
             except InvalidInstanceError:
                 rows.append(f"{qmin},{qmax},skipped,,\n")
                 continue
-            best = res.best_breakdown  # None when the oracle finds no feasible schedule
-            if best is not None and best.feasible:
-                sched_txt = "-".join(map(str, res.best_schedule.period_of))
-                rows.append(f"{qmin},{qmax},ok,{best.total_value:.6f},{sched_txt}\n")
+            if doc["feasible"]:
+                sched_txt = "-".join(map(str, doc["period_of"]))
+                rows.append(f"{qmin},{qmax},ok,{doc['value']:.6f},{sched_txt}\n")
             else:
                 rows.append(f"{qmin},{qmax},infeasible,,\n")
     out.write("".join(rows))
@@ -190,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", default=None, help="write convergence trace CSV here")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("exact", help="exhaustive-enumeration optimum")
+    p = sub.add_parser("exact", help="exhaustive-enumeration optimum", argument_default=unset)
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="max N^n_p to enumerate")
+    p.add_argument("--cap", type=int, help="max N^n_p to enumerate")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("evaluate", help="value breakdown for a schedule")
@@ -205,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmin-range", required=True, help="a..b inclusive")
     p.add_argument("--qmax-range", required=True, help="c..d inclusive")
     p.add_argument("--method", choices=("exact", "ga"), default="exact")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int)
     _add_ga_flags(p)
     p.set_defaults(func=cmd_sweep)
 

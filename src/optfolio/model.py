@@ -116,7 +116,8 @@ class Schedule:
     period_of: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(isinstance(k, int) and k >= 1 for k in self.period_of):
+        # bool is an int subclass, refused as the loader refuses it
+        if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in self.period_of):
             raise ValueError(f"periods must be integers >= 1, got {self.period_of}")
 
 
@@ -162,11 +163,14 @@ def validate_instance(inst: Instance) -> list[str]:
         v.append(f"budgets must have a finite sum, got {budget_total}")
     # the solvers count against these and slice by them; bool is an int
     # subclass, refused as the loader refuses it
+    q_ints = True
     for name, bounds in (("q_min", inst.q_min), ("q_max", inst.q_max)):
         for k, q in enumerate(bounds, start=1):
             if isinstance(q, bool) or not isinstance(q, int):
                 v.append(f"{name}[{k}] must be an integer, got {q!r}")
-    if len(inst.q_min) == len(inst.q_max) == N:
+                q_ints = False
+    # the order and sum rules compare entries, which needs every one an int
+    if q_ints and len(inst.q_min) == len(inst.q_max) == N:
         for k in range(N):
             lo, hi = inst.q_min[k], inst.q_max[k]
             if not (0 <= lo <= hi <= n_p):

@@ -294,38 +294,35 @@ def bit_rows(periods: tuple[int, ...], n_periods: int) -> list[str]:
     return ["0" * (k - 1) + "1" + "0" * (n_periods - k) for k in periods]
 
 
-def _schedule_doc(s: Schedule, n_periods: int) -> dict:
-    return {"period_of": list(s.period_of), "chromosome": bit_rows(s.period_of, n_periods)}
+def _result_doc(head: dict, periods: tuple, b: EvaluationBreakdown | None, tail: dict) -> dict:
+    """A solver's result: head fields, the schedule and its value, tail fields, breakdown.
+
+    b is None when no feasible schedule exists: the schedule, chromosome and
+    value are then null, and no breakdown is written.
+    """
+    if b is None:
+        schedule = {"period_of": None, "chromosome": None, "value": None, "feasible": False}
+        return {**head, **schedule, **tail}
+    return {
+        **head,
+        "period_of": list(periods),
+        "chromosome": bit_rows(periods, len(b.count_per_period)),
+        "value": b.total_value,
+        "feasible": b.feasible,
+        **tail,
+        "breakdown": breakdown_to_dict(b),
+    }
 
 
 def solve_result_to_dict(res: SolveResult) -> dict:
-    doc = {"method": "ga"}
-    doc.update(_schedule_doc(res.best_schedule, len(res.best_breakdown.count_per_period)))
-    doc.update(
-        {
-            "value": res.best_breakdown.total_value,
-            "feasible": res.best_breakdown.feasible,
-            "generations_run": res.generations_run,
-            "terminated_by": res.terminated_by,
-            "breakdown": breakdown_to_dict(res.best_breakdown),
-        }
-    )
-    return doc
+    tail = {"generations_run": res.generations_run, "terminated_by": res.terminated_by}
+    return _result_doc({"method": "ga"}, res.best_schedule.period_of, res.best_breakdown, tail)
 
 
 def oracle_result_to_dict(res: OracleResult) -> dict:
-    doc = {"method": "exact", "feasible_count": res.feasible_count}
-    if res.best_schedule is not None:
-        doc.update(_schedule_doc(res.best_schedule, len(res.best_breakdown.count_per_period)))
-        doc["value"] = res.best_breakdown.total_value
-        doc["feasible"] = True
-        doc["breakdown"] = breakdown_to_dict(res.best_breakdown)
-    else:
-        doc["period_of"] = None
-        doc["chromosome"] = None
-        doc["value"] = None
-        doc["feasible"] = False
-    return doc
+    head = {"method": "exact", "feasible_count": res.feasible_count}
+    periods = res.best_schedule.period_of if res.feasible else ()
+    return _result_doc(head, periods, res.best_breakdown, {})
 
 
 # repr of a non-finite float -> json's spelling

@@ -158,6 +158,19 @@ class TestParseScheduleArg:
     def test_single_project_period_number(self):
         assert parse_schedule_arg("2", 1, 3).period_of == (2,)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,x,1,1,1,1,1", "schedule entries must be integers"),
+            ("0,1,1,1,1,1,1", r"schedule periods must be in 1\.\.3"),
+            ("1,1,1,1,1,1,4", r"schedule periods must be in 1\.\.3"),
+        ],
+        ids=["not-integer", "zero", "beyond-n"],
+    )
+    def test_bad_period_list(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_schedule_arg(text, 7, 3)
+
 
 class TestSolve:
     def test_feasible_result(self, tmp_path):
@@ -971,6 +984,14 @@ class TestSweep:
         )
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_ga_method_refuses_cap(self, capsys):
+        code, out = run_cli(
+            "sweep", FIXTURE, "--qmin-range", "2..2", "--qmax-range", "3..3",
+            "--method", "ga", "--cap", "5",
+        )
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: --method ga takes no --cap\n"
 
     def test_ga_sweep_builds_one_config(self, monkeypatch):
         built = []

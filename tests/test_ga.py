@@ -36,6 +36,10 @@ class TestCrossover:
         a, b = (1, 2, 3), (3, 2, 1)
         assert crossover(a, b, 0.0, rng) == (a, b)
 
+    def test_unequal_parents_refused(self):
+        with pytest.raises(ValueError, match="equal length"):
+            crossover((1, 2, 3), (1, 2), 1.0, random.Random(1))
+
     def test_single_gene_degrades_to_identity(self):
         rng = random.Random(1)
         a, b = (1,), (2,)
@@ -242,6 +246,11 @@ class TestGaConfig:
     def test_stagnation_limit_below_one_refused(self, limit):
         with pytest.raises(ValueError, match="stagnation_limit"):
             of.GaConfig(stagnation_limit=limit)
+
+    @pytest.mark.parametrize("field", ["restarts", "max_generations"])
+    def test_count_below_one_refused(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            of.GaConfig(**{field: 0})
 
 
 class TestRunGa:

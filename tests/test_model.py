@@ -49,6 +49,17 @@ class TestReturnPresentValue:
         with pytest.raises(ValueError):
             of.return_present_value([], 0.1, 1)
 
+    def test_rejects_bad_period(self):
+        with pytest.raises(ValueError, match="period index must be >= 1, got 0"):
+            of.return_present_value([110], 0.1, 0)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.0, True])
+def test_schedule_refuses_period_that_is_not_a_positive_integer(bad):
+    # True is an int subclass, which evaluate would value as period 1
+    with pytest.raises(ValueError, match="periods must be integers >= 1"):
+        of.Schedule(period_of=(bad, 2, 1, 2, 2, 3, 3))
+
 
 class TestChromosomeCodec:
     """Bit-row text: written by `bit_rows`, read by `parse_schedule_arg`."""
@@ -275,11 +286,18 @@ class TestValidateInstance:
             (dict(q_max=(3.0, 3, 3)), "q_max[1] must be an integer, got 3.0"),
             (dict(q_max=(3, 3, 3.5)), "q_max[3] must be an integer, got 3.5"),
             (dict(q_min=(2, True, 2)), "q_min[2] must be an integer, got True"),
+            (dict(q_min=(None, 2, 2)), "q_min[1] must be an integer, got None"),
+            (dict(q_max=("3", 3, 3)), "q_max[1] must be an integer, got '3'"),
+            (
+                _first_project(return_stream=()),
+                "project 1: return_stream must be non-empty when given",
+            ),
         ],
         ids=[
             "n_p", "N", "projects-length", "budgets-length", "q_min-length", "q_max-length",
             "cost_pv-length", "return_pv-length", "mode", "budget", "cost", "zero-cost", "return",
-            "ids", "q_max-float", "q_max-fraction", "q_min-bool",
+            "ids", "q_max-float", "q_max-fraction", "q_min-bool", "q_min-none", "q_max-string",
+            "empty-return-stream",
         ],
     )
     def test_each_invariant_is_reported(self, paper_instance, change, message):

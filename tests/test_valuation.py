@@ -169,6 +169,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             of.evaluate(of.Schedule(period_of=(1, 2)), paper_instance)
 
+    def test_period_beyond_n_rejected(self, paper_instance):
+        with pytest.raises(ValueError, match="beyond N"):
+            of.evaluate(of.Schedule(period_of=(1, 2, 1, 2, 2, 3, 4)), paper_instance)
+
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=50)
     def test_additivity(self, rng):
