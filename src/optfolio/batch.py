@@ -1,9 +1,11 @@
 """Whole-population scoring on numpy, bit-identical to `valuation.score`.
 
-`score_batch` values P period tuples of one instance at once. It holds them
-project-major, as an n_p x P array of bytes: row j is project j's period in
-every genome. So every period must fit a byte, and the GA batches only
-instances with N <= 255 (it scores a larger N with `score`).
+`score_batch` values P genomes of one instance at once, each a period tuple
+or bytes. It holds them project-major, as an n_p x P array of bytes: row j
+is project j's period in every genome. So every period must fit a byte, and
+the GA batches only instances with N <= 255 (it scores a larger N with
+`score`); there it holds its genomes as bytes, which join without a copy
+per genome.
 
 Each float result is built from the same IEEE operations, in the same
 order, as `valuation._account` performs them for one tuple:
@@ -121,10 +123,11 @@ def compile_tables(t: Tables) -> BatchTables:
     )
 
 
-def score_batch(population: list[tuple[int, ...]], bt: BatchTables) -> list[tuple[float, float]]:
-    """(violation_score, total_value) of each period tuple, equal to `score`'s.
+def score_batch(population: list[tuple[int, ...] | bytes], bt: BatchTables) -> list[tuple[float, float]]:
+    """(violation_score, total_value) of each genome, equal to `score`'s.
 
-    Every period must fit a byte: `bytes` refuses a period above 255.
+    Every period must fit a byte: `bytes` refuses a period above 255 and
+    returns a bytes genome itself.
     """
     P, n, N = len(population), bt.n_projects, bt.n_periods
     per = np.frombuffer(b"".join(map(bytes, population)), np.uint8).reshape(P, n).T.copy()

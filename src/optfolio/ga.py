@@ -1,10 +1,15 @@
 """Genetic algorithm over project-period assignments.
 
-Individuals are integer gene vectors (one period per project, as plain
-tuples), which keeps crossover and mutation closed over valid schedules;
-a Schedule is built only for the returned best. Constraint handling is
-feasibility-first comparison rather than penalty weights: any feasible
-individual dominates any infeasible one.
+Individuals are integer gene vectors, one period per project, which
+keeps crossover and mutation closed over valid schedules. A genome is
+`bytes` when every period fits a byte (N <= 255, the limit the batch
+already has) and a tuple of ints otherwise; for equal lengths both
+compare in the same lexicographic order, so the tie-break is the same
+either way. Bytes hash, slice and join faster than tuples of Python ints.
+The returned best is turned back into a tuple, and a Schedule is built
+only for it. Constraint handling is feasibility-first comparison rather
+than penalty weights: any feasible individual dominates any infeasible
+one.
 
 Each generation is scored and ranked in one step. Its distinct genomes
 not yet in the memo are valued in one statement: one numpy batch
@@ -22,7 +27,8 @@ and draws, in this order:
 
 1. the first generation: for each of population_size - 1 genomes, one
    period per project, each `randrange(1, N + 1)` (the greedy seed
-   genome draws nothing);
+   genome draws nothing). When N <= 255 all of them are drawn in a few
+   calls, by the word rule below;
 2. after scoring each generation that another one follows (a restart's
    last generation, ended by stagnation or max_generations, breeds
    nothing, and the elites draw nothing), per pair of children:
@@ -38,6 +44,15 @@ Every index draw `randrange(a, a + n)` is made as `a + r`, with
 `r = getrandbits(n.bit_length())` drawn again while `r >= n`: the
 rejection rule of `Random._randbelow` behind `randrange` (CPython
 3.10-3.13), so the same Mersenne Twister words give the same results.
+
+The word rule. `getrandbits(w)` for w <= 32 is the top w bits of the next
+32-bit word, and `getrandbits(32 * m)` returns the next m words, least
+significant first. So, for N <= 255, the top byte of each of those words
+shifted right by 8 - N.bit_length() is the draw that word would give, and
+a first generation short of m periods takes the next m words in one call:
+each word gives at most one period, so the per-draw loop would take all m
+too. `bytes.translate` maps the accepted top bytes to periods and deletes
+the rejected ones, and the shortfall is drawn again the same way.
 """
 
 from __future__ import annotations
@@ -72,6 +87,14 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in (
+            "population_size", "max_generations", "stagnation_limit",
+            "tournament_size", "elite_count", "restarts",
+        ):
+            n = getattr(self, name)
+            # bool is an int subclass, refused as Schedule refuses it
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ValueError(f"{name} must be an integer, got {n!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if not (0 <= self.elite_count < self.population_size):
@@ -109,9 +132,9 @@ class SolveResult:
 
 
 def crossover(
-    a: tuple[int, ...], b: tuple[int, ...], rate: float, rng: random.Random
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Single-point crossover on period tuples, applied with probability rate."""
+    a: bytes | tuple[int, ...], b: bytes | tuple[int, ...], rate: float, rng: random.Random
+) -> tuple:
+    """Single-point crossover on two genomes of one type, applied with probability rate."""
     n = len(a)
     if len(b) != n:
         raise ValueError("parents must have equal length")
@@ -127,11 +150,12 @@ def crossover(
 
 
 def mutate(
-    genes: tuple[int, ...], rate: float, n_periods: int, rng: random.Random
-) -> tuple[int, ...]:
+    genes: bytes | tuple[int, ...], rate: float, n_periods: int, rng: random.Random
+) -> bytes | tuple[int, ...]:
     """Per-gene mutation: reassign to a uniformly random *different* period.
 
-    Returns genes itself when no gene mutates.
+    Returns genes itself when no gene mutates, else a genome of its type
+    (bytes or tuple).
     """
     if n_periods < 2:
         return genes
@@ -149,10 +173,10 @@ def mutate(
             if out is None:
                 out = list(genes)
             out[i] = new if new < g else new + 1
-    return genes if out is None else tuple(out)
+    return genes if out is None else type(genes)(out)
 
 
-def tournament_select(keys: list[tuple], k: int, rng: random.Random) -> tuple[int, ...]:
+def tournament_select(keys: list[tuple], k: int, rng: random.Random) -> bytes | tuple[int, ...]:
     """Draw k candidate keys with replacement, return the genome of the least."""
     n = len(keys)
     if not n:
@@ -205,6 +229,27 @@ def _random_periods(n_projects: int, n_periods: int, rng: random.Random) -> tupl
     return tuple(out)
 
 
+def _random_genomes(count: int, n_projects: int, n_periods: int, rng: random.Random) -> list:
+    """count genomes of n_projects draws of randrange(1, n_periods + 1) each.
+
+    bytes, drawn by the module docstring's word rule, when a period fits a
+    byte (n_periods <= 255); else tuples, drawn one period at a time.
+    """
+    if n_periods > 255:
+        return [_random_periods(n_projects, n_periods, rng) for _ in range(count)]
+    shift = 8 - n_periods.bit_length()
+    limit = n_periods << shift  # top bytes below this give a draw below n_periods
+    table = bytes((x >> shift) + 1 for x in range(limit)).ljust(256, b"\0")
+    rejected = bytes(range(limit, 256))
+    need = count * n_projects
+    periods = b""
+    while len(periods) < need:
+        m = need - len(periods)
+        words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        periods += words[3::4].translate(table, rejected)
+    return [periods[i * n_projects : (i + 1) * n_projects] for i in range(count)]
+
+
 def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
     """Run the GA, returning the best individual ever seen across restarts.
 
@@ -217,8 +262,10 @@ def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
     mut_rate = cfg.mutation_rate if cfg.mutation_rate is not None else (1.0 / n_p if n_p else 0.0)
     size, k, cx_rate = cfg.population_size, cfg.tournament_size, cfg.crossover_rate
     seed_genome = greedy_seed(tables)
-    # memoized candidate_key per period tuple; evaluation is pure
-    keyed: dict[tuple[int, ...], tuple] = {}
+    if N <= 255:  # every period fits a byte: genomes are bytes
+        seed_genome = bytes(seed_genome)
+    # memoized candidate_key per genome; evaluation is pure
+    keyed: dict[bytes | tuple[int, ...], tuple] = {}
 
     @cache  # built on the first batch, so a solve that never batches never imports numpy
     def batch_scorer():
@@ -231,7 +278,7 @@ def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
 
     for restart in range(cfg.restarts):
         rng = random.Random(f"{cfg.seed}:{restart}")
-        population = [seed_genome] + [_random_periods(n_p, N, rng) for _ in range(size - 1)]
+        population = [seed_genome, *_random_genomes(size - 1, n_p, N, rng)]
         restart_best_key: tuple | None = None
         stagnant = 0
         terminated_by = "max_generations"
@@ -282,9 +329,10 @@ def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
             population = next_pop
 
     assert best_key is not None
+    best = tuple(best_key[2])
     return SolveResult(
-        best_schedule=Schedule(period_of=best_key[2]),
-        best_breakdown=_breakdown(best_key[2], tables),
+        best_schedule=Schedule(period_of=best),
+        best_breakdown=_breakdown(best, tables),
         generations_run=len(trace),
         trace=tuple(trace),
         terminated_by=terminated_by,

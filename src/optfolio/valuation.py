@@ -216,11 +216,12 @@ def _violation(budget, card, n_prec, t):
     return q + (q == 0) * (budget > 0) * math.ulp(0.0) + card / max(1, t.n_projects) + n_prec
 
 
-def score(periods: tuple[int, ...], t: Tables) -> tuple[float, float]:
-    """Fast (violation_score, total_value) of a period tuple.
+def score(periods: tuple[int, ...] | bytes, t: Tables) -> tuple[float, float]:
+    """Fast (violation_score, total_value) of a period tuple or bytes.
 
     Agrees exactly with evaluate(); the GA and oracle inner loops use this
-    path with tables built once per solve.
+    path with tables built once per solve. The GA holds its genomes as
+    bytes when every period fits a byte; they read as the same periods.
     """
     _cost_k, _cnt_k, prec, budget, card, total = _account(periods, t)
     return _violation(budget, card, len(prec), t), total
@@ -264,11 +265,13 @@ def _breakdown(per: tuple[int, ...], t: Tables) -> EvaluationBreakdown:
     )
 
 
-def candidate_key(periods: tuple[int, ...], scored: tuple[float, float]) -> tuple:
-    """Feasibility-first sort key of a period tuple and its `score`; smaller is better.
+def candidate_key(periods: tuple[int, ...] | bytes, scored: tuple[float, float]) -> tuple:
+    """Feasibility-first sort key of a period tuple or bytes and its `score`; smaller is better.
 
     Lower violation wins; among equals higher value wins; among equals the
-    lexicographically smaller period tuple wins. Keys order the schedules
+    lexicographically smaller periods win. Bytes and tuples of ints in
+    0..255 of one length compare in the same order, but not with each
+    other: keys compared together hold one type. Keys order the schedules
     of one instance only.
     """
     violation, value = scored

@@ -154,8 +154,13 @@ def test_batch_equals_score_by_repr(case):
     inst, population = case
     tables = build_tables(inst)
     want = [score(p, tables) for p in population]
+    bt = batch.compile_tables(tables)
     # repr tells apart every pair of distinct floats, 0.0 and -0.0 included
-    assert repr(batch.score_batch(population, batch.compile_tables(tables))) == repr(want)
+    assert repr(batch.score_batch(population, bt)) == repr(want)
+    # the GA holds genomes as bytes when N <= 255; both kernels read them alike
+    as_bytes = [bytes(p) for p in population]
+    assert repr(batch.score_batch(as_bytes, bt)) == repr(want)
+    assert repr([score(p, tables) for p in as_bytes]) == repr(want)
 
 
 def test_genomes_of_no_projects_sum_to_zero():
@@ -223,3 +228,21 @@ def test_run_ga_scores_periods_above_a_byte_with_score(monkeypatch):
         m.setattr(ga, "BATCH_MIN_GENES", 10**9)
         scalar = of.run_ga(inst, cfg)
     assert repr(default) == repr(scalar)
+
+
+@pytest.mark.parametrize(
+    "inst, batch_min_genes",
+    [
+        (of.load_paper_fixture(), None),  # too few genes to batch: scored with `score`
+        (of.generate_instance(30, 3, seed=16), None),  # batched, genomes held as bytes
+        (of.generate_instance(25, 300, seed=14), 0),  # N > 255: tuples, scored with `score`
+    ],
+    ids=["scalar", "batched", "N=300"],
+)
+def test_best_schedule_is_a_tuple_of_ints(monkeypatch, inst, batch_min_genes):
+    if batch_min_genes is not None:
+        monkeypatch.setattr(ga, "BATCH_MIN_GENES", batch_min_genes)
+    res = of.run_ga(inst, of.GaConfig(seed=1, max_generations=3))
+    per = res.best_schedule.period_of
+    assert type(per) is tuple and len(per) == inst.n_projects
+    assert all(type(k) is int for k in per)

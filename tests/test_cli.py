@@ -714,6 +714,28 @@ def test_instance_is_read_as_utf8_under_an_ascii_locale(tmp_path):
     assert proc.stdout == run_cli("exact", FIXTURE)[1]
 
 
+def test_solve_is_the_same_under_any_hash_seed(tmp_path):
+    # hashes of the GA's bytes genomes change with PYTHONHASHSEED, so any
+    # path that iterated a set or dict in hash order would print differently
+    desk = tmp_path / "desk.json"
+    batched = tmp_path / "batched.json"  # 99 random genomes x 30 genes: batched
+    of.save_instance(of.generate_instance(7, 3, seed=21), str(desk))
+    of.save_instance(of.generate_instance(30, 4, edge_density=0.1, seed=22), str(batched))
+    src = os.path.dirname(os.path.dirname(of.__file__))
+    for path, flags in ((desk, ["--restarts", "3"]), (batched, ["--generations", "20"])):
+        outputs = []
+        for hash_seed in ("0", "12345"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "optfolio.cli", "solve", str(path), "--seed", "7", *flags],
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+            )
+            assert proc.returncode in (0, 2), proc.stderr
+            outputs.append(proc.stdout)
+        assert '"method": "ga"' in outputs[0]
+        assert outputs[0] == outputs[1]
+
+
 def test_long_dependency_chain(tmp_path):
     # one chain of partial edges, far deeper than the interpreter's
     # default recursion limit

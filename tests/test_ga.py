@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import optfolio as of
-from optfolio.ga import _random_periods, greedy_seed, mutate, crossover, tournament_select
+from optfolio.ga import _random_genomes, _random_periods, greedy_seed, mutate, crossover, tournament_select
 from optfolio.valuation import build_tables, candidate_key, score
 
 
@@ -203,6 +203,19 @@ class TestDrawsMatchRandrange:
         assert _random_periods(n_projects, n_periods, rng) == want
         assert rng.getstate() == ref.getstate()
 
+    # every byte-width edge, and the tuple loop just past a byte
+    PERIODS = st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 127, 128, 255, 256, 300])
+
+    @given(SEEDS, PERIODS, st.integers(0, 60), st.integers(0, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_first_generation(self, seed, n_periods, n_projects, count):
+        rng, ref = random.Random(seed), random.Random(seed)
+        want = [tuple(ref.randrange(1, n_periods + 1) for _ in range(n_projects)) for _ in range(count)]
+        got = _random_genomes(count, n_projects, n_periods, rng)
+        assert [tuple(g) for g in got] == want
+        assert all(type(g) is (bytes if n_periods <= 255 else tuple) for g in got)
+        assert rng.getstate() == ref.getstate()
+
     @given(SEEDS, _bounds(2**20), st.integers(1, 6), st.integers(1, 20))
     @settings(max_examples=200, deadline=None)
     def test_tournament(self, seed, n, k, draws):
@@ -230,6 +243,28 @@ class TestDrawsMatchRandrange:
             assert crossover(a, b, rate, rng) == _randrange_crossover(a, b, rate, ref)
         assert rng.getstate() == ref.getstate()
 
+    @given(SEEDS, _bounds(255), st.integers(0, 12), st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_mutate_on_bytes(self, seed, n_periods, n_genes, rate):
+        rng, ref = random.Random(seed), random.Random(seed)
+        genes = bytes(random.Random(seed + 1).randint(1, n_periods) for _ in range(n_genes))
+        for _ in range(5):
+            got = mutate(genes, rate, n_periods, rng)
+            assert type(got) is bytes
+            assert tuple(got) == _randrange_mutate(tuple(genes), rate, n_periods, ref)
+        assert rng.getstate() == ref.getstate()
+
+    @given(SEEDS, st.integers(0, 255), st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_crossover_on_bytes(self, seed, n, rate):
+        rng, ref = random.Random(seed), random.Random(seed)
+        a, b = bytes(range(n)), bytes(range(255, 255 - n, -1))
+        for _ in range(5):
+            got = crossover(a, b, rate, rng)
+            assert all(type(c) is bytes for c in got)
+            assert tuple(map(tuple, got)) == _randrange_crossover(tuple(a), tuple(b), rate, ref)
+        assert rng.getstate() == ref.getstate()
+
 
 class TestGaConfig:
     def test_invariants_enforced(self):
@@ -251,6 +286,15 @@ class TestGaConfig:
     def test_count_below_one_refused(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             of.GaConfig(**{field: 0})
+
+    @pytest.mark.parametrize("value", [10.0, 2.5, True])
+    @pytest.mark.parametrize(
+        "field",
+        ["population_size", "max_generations", "stagnation_limit", "tournament_size", "elite_count", "restarts"],
+    )
+    def test_count_that_is_not_an_integer_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            of.GaConfig(**{field: value})
 
 
 class TestRunGa:
@@ -320,6 +364,14 @@ class TestRunGa:
         )
         assert len(res.best_schedule.period_of) == 7
         assert all(1 <= k <= 3 for k in res.best_schedule.period_of)
+
+
+@given(st.integers(0, 20).flatmap(lambda n: st.tuples(*[st.tuples(*[st.integers(0, 255)] * n)] * 2)))
+def test_bytes_order_as_tuples_of_the_same_length(pair):
+    # candidate_key's tie-break is the same whichever type the GA holds
+    a, b = pair
+    assert (bytes(a) < bytes(b)) == (a < b)
+    assert (bytes(a) == bytes(b)) == (a == b)
 
 
 def test_greedy_seed_is_a_valid_schedule(paper_instance):
