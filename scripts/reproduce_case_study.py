@@ -16,9 +16,9 @@ def main():
     res = of.enumerate_optimal(tables)
     b = res.best_breakdown
     print("exact optimum")
-    print(f"  schedule (period per project): {res.best_schedule.period_of}")
+    print(f"  schedule (period per project): {res.best_periods}")
     print("  chromosome:")
-    for row in bit_rows(res.best_schedule.period_of, inst.n_periods):
+    for row in bit_rows(res.best_periods, inst.n_periods):
         print(f"    {row}")
     print(f"  per-period costs: {b.total_cost_per_period} vs budgets {inst.budgets}")
     print(f"  projects per period: {b.count_per_period}")
@@ -32,7 +32,7 @@ def main():
         mark = "== oracle" if r.best_breakdown.total_value == b.total_value else "!= oracle"
         print(
             f"  seed {seed:2d}: value {r.best_breakdown.total_value:8.2f}  "
-            f"{r.best_schedule.period_of}  gens {r.generations_run:3d} ({r.terminated_by}) {mark}"
+            f"{r.best_periods}  gens {r.generations_run:3d} ({r.terminated_by}) {mark}"
         )
 
 

@@ -6,10 +6,9 @@ keeps crossover and mutation closed over valid schedules. A genome is
 already has) and a tuple of ints otherwise; for equal lengths both
 compare in the same lexicographic order, so the tie-break is the same
 either way. Bytes hash, slice and join faster than tuples of Python ints.
-The returned best is turned back into a tuple, and a Schedule is built
-only for it. Constraint handling is feasibility-first comparison rather
-than penalty weights: any feasible individual dominates any infeasible
-one.
+The returned best is turned back into a tuple. Constraint handling is
+feasibility-first comparison rather than penalty weights: any feasible
+individual dominates any infeasible one.
 
 Each generation is scored and ranked in one step. Its distinct genomes
 not yet in the memo are valued in one statement: one numpy batch
@@ -62,7 +61,7 @@ import random
 from dataclasses import dataclass
 from functools import cache, partial
 
-from .model import Instance, Schedule, left_sum
+from .model import Instance, left_sum
 from .valuation import EvaluationBreakdown, Tables, _breakdown, build_tables, candidate_key, score
 
 # A generation's new genomes are scored in one numpy batch when they hold at
@@ -92,7 +91,7 @@ class GaConfig:
             "tournament_size", "elite_count", "restarts",
         ):
             n = getattr(self, name)
-            # bool is an int subclass, refused as Schedule refuses it
+            # bool is an int subclass, refused as the loader refuses it
             if isinstance(n, bool) or not isinstance(n, int):
                 raise ValueError(f"{name} must be an integer, got {n!r}")
         if self.population_size < 2:
@@ -101,8 +100,11 @@ class GaConfig:
             raise ValueError("elite_count must be < population_size")
         for name in ("crossover_rate", "mutation_rate"):
             r = getattr(self, name)
-            if r is not None and not (0.0 <= r <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1]")
+            if r is None and name == "mutation_rate":
+                continue
+            # NaN fails the range test
+            if isinstance(r, bool) or not isinstance(r, (int, float)) or not 0 <= r <= 1:
+                raise ValueError(f"{name} must be a number in [0, 1], got {r!r}")
         if self.tournament_size < 1:
             raise ValueError("tournament_size must be >= 1")
         if self.restarts < 1:
@@ -124,7 +126,7 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class SolveResult:
-    best_schedule: Schedule
+    best_periods: tuple[int, ...]
     best_breakdown: EvaluationBreakdown
     generations_run: int
     trace: tuple[TraceEntry, ...]
@@ -331,7 +333,7 @@ def run_ga(inst: Instance | Tables, cfg: GaConfig = GaConfig()) -> SolveResult:
     assert best_key is not None
     best = tuple(best_key[2])
     return SolveResult(
-        best_schedule=Schedule(period_of=best),
+        best_periods=best,
         best_breakdown=_breakdown(best, tables),
         generations_run=len(trace),
         trace=tuple(trace),

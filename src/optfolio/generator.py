@@ -30,6 +30,10 @@ def generate_instance(
     uniform in (0, 1). Per-period budgets are budget_tightness times the
     average per-period cost load.
     """
+    for name, n in (("n_projects", n_projects), ("n_periods", n_periods)):
+        # bool is an int subclass, refused as the loader refuses it
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
     if n_projects < 1:
         raise ValueError("n_projects must be >= 1")
     if n_periods < 1:

@@ -111,7 +111,7 @@ class Instance:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Assignment of every project to exactly one period (1-based)."""
+    """One period (1-based) per project; kept only as perfbench builds one for `evaluate`."""
 
     period_of: tuple[int, ...]
 

@@ -46,7 +46,7 @@ import sys
 from dataclasses import dataclass
 from operator import sub
 
-from .model import Instance, Schedule, left_sum
+from .model import Instance, left_sum
 from .valuation import (
     EvaluationBreakdown,
     Tables,
@@ -77,13 +77,13 @@ class SearchSpaceCapExceeded(ValueError):
 
 @dataclass(frozen=True)
 class OracleResult:
-    best_schedule: Schedule | None  # None when no feasible schedule exists
+    best_periods: tuple[int, ...] | None  # None when no feasible schedule exists
     best_breakdown: EvaluationBreakdown | None
     feasible_count: int
 
     @property
     def feasible(self) -> bool:
-        return self.best_schedule is not None
+        return self.best_periods is not None
 
 
 def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> OracleResult:
@@ -302,9 +302,9 @@ def enumerate_optimal(inst: Instance | Tables, cap: int = DEFAULT_CAP) -> Oracle
         feasible_count = 1
         consider(0.0)
     if best_per is None:
-        return OracleResult(best_schedule=None, best_breakdown=None, feasible_count=0)
+        return OracleResult(best_periods=None, best_breakdown=None, feasible_count=0)
     return OracleResult(
-        best_schedule=Schedule(period_of=best_per),
+        best_periods=best_per,
         best_breakdown=_breakdown(best_per, tables),
         feasible_count=feasible_count,
     )

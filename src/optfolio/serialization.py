@@ -294,7 +294,7 @@ def bit_rows(periods: tuple[int, ...], n_periods: int) -> list[str]:
     return ["0" * (k - 1) + "1" + "0" * (n_periods - k) for k in periods]
 
 
-def _result_doc(head: dict, periods: tuple, b: EvaluationBreakdown | None, tail: dict) -> dict:
+def _result_doc(head: dict, periods: tuple | None, b: EvaluationBreakdown | None, tail: dict) -> dict:
     """A solver's result: head fields, the schedule and its value, tail fields, breakdown.
 
     b is None when no feasible schedule exists: the schedule, chromosome and
@@ -316,13 +316,12 @@ def _result_doc(head: dict, periods: tuple, b: EvaluationBreakdown | None, tail:
 
 def solve_result_to_dict(res: SolveResult) -> dict:
     tail = {"generations_run": res.generations_run, "terminated_by": res.terminated_by}
-    return _result_doc({"method": "ga"}, res.best_schedule.period_of, res.best_breakdown, tail)
+    return _result_doc({"method": "ga"}, res.best_periods, res.best_breakdown, tail)
 
 
 def oracle_result_to_dict(res: OracleResult) -> dict:
     head = {"method": "exact", "feasible_count": res.feasible_count}
-    periods = res.best_schedule.period_of if res.feasible else ()
-    return _result_doc(head, periods, res.best_breakdown, {})
+    return _result_doc(head, res.best_periods, res.best_breakdown, {})
 
 
 # repr of a non-finite float -> json's spelling

@@ -79,7 +79,7 @@ def test_criterion_2_case_study_reproduction(paper_instance):
     tables = of.build_tables(paper_instance)
     res = of.enumerate_optimal(tables)
     ok = (
-        res.best_schedule.period_of == (1, 2, 1, 2, 2, 3, 3)
+        res.best_periods == (1, 2, 1, 2, 2, 3, 3)
         and res.best_breakdown.total_cost_per_period == (85, 105, 175)
         and paper_instance.budgets == (90, 125, 175)
         and res.best_breakdown.total_value == 203
@@ -92,7 +92,7 @@ def test_criterion_2_case_study_reproduction(paper_instance):
     _report(
         "criterion 2 (case-study reproduction)",
         ok,
-        f"oracle {res.best_schedule.period_of} value {res.best_breakdown.total_value}, "
+        f"oracle {res.best_periods} value {res.best_breakdown.total_value}, "
         f"GA seeds 1..10 values {sorted(set(ga_values))}",
     )
 

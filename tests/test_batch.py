@@ -239,10 +239,19 @@ def test_run_ga_scores_periods_above_a_byte_with_score(monkeypatch):
     ],
     ids=["scalar", "batched", "N=300"],
 )
-def test_best_schedule_is_a_tuple_of_ints(monkeypatch, inst, batch_min_genes):
+def test_best_periods_is_a_tuple_of_ints(monkeypatch, inst, batch_min_genes):
     if batch_min_genes is not None:
         monkeypatch.setattr(ga, "BATCH_MIN_GENES", batch_min_genes)
     res = of.run_ga(inst, of.GaConfig(seed=1, max_generations=3))
-    per = res.best_schedule.period_of
+    per = res.best_periods
     assert type(per) is tuple and len(per) == inst.n_projects
     assert all(type(k) is int for k in per)
+
+
+def test_oracle_best_periods_is_a_tuple_of_ints_or_none():
+    inst = of.load_paper_fixture()
+    per = of.enumerate_optimal(inst).best_periods
+    assert type(per) is tuple and len(per) == inst.n_projects
+    assert all(type(k) is int for k in per)
+    starved = of.enumerate_optimal(replace(inst, budgets=(1.0, 1.0, 1.0)))
+    assert not starved.feasible and starved.best_periods is None

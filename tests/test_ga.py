@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -296,13 +297,29 @@ class TestGaConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             of.GaConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("crossover_rate", None),
+            ("crossover_rate", True),
+            ("crossover_rate", "0.5"),
+            ("mutation_rate", False),
+            ("mutation_rate", "0.5"),
+            ("mutation_rate", float("nan")),
+        ],
+    )
+    def test_rate_that_is_not_a_number_in_unit_range_refused(self, field, value):
+        message = rf"^{field} must be a number in \[0, 1\], got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            of.GaConfig(**{field: value})
+
 
 class TestRunGa:
     def test_finds_paper_optimum(self, paper_instance):
         res = of.run_ga(paper_instance, of.GaConfig(seed=1))
         assert res.best_breakdown.feasible
         assert res.best_breakdown.total_value == 203
-        assert res.best_schedule.period_of == (1, 2, 1, 2, 2, 3, 3)
+        assert res.best_periods == (1, 2, 1, 2, 2, 3, 3)
 
     def test_search_space_of_size_one(self):
         inst = of.Instance(
@@ -318,14 +335,14 @@ class TestRunGa:
             q_max=(2,),
         )
         res = of.run_ga(inst, of.GaConfig(seed=0, max_generations=1, stagnation_limit=1))
-        assert res.best_schedule.period_of == (1, 1)
+        assert res.best_periods == (1, 1)
         assert res.best_breakdown.total_value == 30
 
     def test_same_seed_identical_traces(self, paper_instance):
         a = of.run_ga(paper_instance, of.GaConfig(seed=9))
         b = of.run_ga(paper_instance, of.GaConfig(seed=9))
         assert a.trace == b.trace
-        assert a.best_schedule == b.best_schedule
+        assert a.best_periods == b.best_periods
 
     def test_trace_shape_and_monotonicity(self, paper_instance):
         res = of.run_ga(paper_instance, of.GaConfig(seed=2))
@@ -362,8 +379,8 @@ class TestRunGa:
             paper_instance,
             of.GaConfig(seed=3, max_generations=5, stagnation_limit=5, mutation_rate=0.5),
         )
-        assert len(res.best_schedule.period_of) == 7
-        assert all(1 <= k <= 3 for k in res.best_schedule.period_of)
+        assert len(res.best_periods) == 7
+        assert all(1 <= k <= 3 for k in res.best_periods)
 
 
 @given(st.integers(0, 20).flatmap(lambda n: st.tuples(*[st.tuples(*[st.integers(0, 255)] * n)] * 2)))

@@ -48,6 +48,11 @@ def test_all_generated_instances_are_valid():
         {"n_projects": 5, "n_periods": 3, "budget_tightness": float("nan")},
         {"n_projects": 5, "n_periods": 3, "budget_tightness": float("inf")},
         {"n_projects": 5, "n_periods": 3, "budget_tightness": 1e308},
+        # counts must be integers, not bools, as the loader requires
+        {"n_projects": True, "n_periods": 2},
+        {"n_projects": 5.0, "n_periods": 3},
+        {"n_projects": 5, "n_periods": True},
+        {"n_projects": 5, "n_periods": 3.0},
     ],
 )
 def test_parameter_validation(kwargs):

@@ -58,7 +58,7 @@ def budget_at_subset_sum(inst, rng):
 class TestEnumerateOptimal:
     def test_paper_fixture_optimum(self, paper_instance):
         res = of.enumerate_optimal(paper_instance)
-        assert res.best_schedule.period_of == (1, 2, 1, 2, 2, 3, 3)
+        assert res.best_periods == (1, 2, 1, 2, 2, 3, 3)
         assert res.best_breakdown.total_value == 203
         assert res.best_breakdown.total_cost_per_period == (85, 105, 175)
 
@@ -66,7 +66,7 @@ class TestEnumerateOptimal:
         count, best = brute_force(paper_instance)
         res = of.enumerate_optimal(paper_instance)
         assert count == res.feasible_count == 2
-        assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
+        assert best == (res.best_breakdown.total_value, res.best_periods)
 
     def test_matches_unpruned_brute_force_on_generated_instances(self):
         rng = random.Random(1006)
@@ -104,10 +104,10 @@ class TestEnumerateOptimal:
                 res = of.enumerate_optimal(case)
                 assert res.feasible_count == count, f"seed {seed}"
                 if best is None:
-                    assert res.best_schedule is None
+                    assert res.best_periods is None
                 else:
                     feasible_seen += case is inst
-                    assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
+                    assert best == (res.best_breakdown.total_value, res.best_periods)
         assert 0 < feasible_seen < 40
 
     @given(data=st.data())
@@ -161,9 +161,9 @@ class TestEnumerateOptimal:
         res = of.enumerate_optimal(inst)
         assert res.feasible_count == count
         if best is None:
-            assert res.best_schedule is None
+            assert res.best_periods is None
         else:
-            assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
+            assert best == (res.best_breakdown.total_value, res.best_periods)
 
     def test_budget_equal_to_a_cost_sum_is_met(self):
         # backtracking from 0.2 + 0.4 in period 1 by subtracting 0.4 would
@@ -184,7 +184,7 @@ class TestEnumerateOptimal:
         count, best = brute_force(inst)
         res = of.enumerate_optimal(inst)
         assert count == res.feasible_count == 6
-        assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
+        assert best == (res.best_breakdown.total_value, res.best_periods)
 
     def test_budget_margin_covers_summation_order(self):
         # the four unit costs and 1e16, added largest first, stay at 1e16,
@@ -207,7 +207,7 @@ class TestEnumerateOptimal:
         count, best = brute_force(inst)
         res = of.enumerate_optimal(inst)
         assert count == res.feasible_count == 27
-        assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
+        assert best == (res.best_breakdown.total_value, res.best_periods)
 
     def test_scores_only_leaves_that_can_beat_the_incumbent(self, monkeypatch):
         import optfolio.oracle as oracle
@@ -223,7 +223,7 @@ class TestEnumerateOptimal:
         res = of.enumerate_optimal(inst)
         assert res.feasible_count > 1000
         assert len(calls) < res.feasible_count / 10
-        assert res.best_schedule.period_of in calls
+        assert res.best_periods in calls
 
     def test_bound_writes_off_option_edges_that_cannot_accrue(self, monkeypatch):
         # the pinned 13x3 chain document: with every option edge counted in
@@ -254,7 +254,7 @@ class TestEnumerateOptimal:
             q_max=(1, 1),
         )
         res = of.enumerate_optimal(inst)
-        assert res.best_schedule.period_of == (2,)
+        assert res.best_periods == (2,)
         assert res.feasible_count == 1
 
     def test_infeasible_when_q_min_sum_exceeds_projects(self, paper_instance):
@@ -263,7 +263,7 @@ class TestEnumerateOptimal:
         res = of.enumerate_optimal(starved)
         assert not res.feasible
         assert res.feasible_count == 0
-        assert res.best_schedule is None
+        assert res.best_periods is None
 
     def test_q_max_zero_everywhere_rejected_by_validation(self, paper_instance):
         bad = replace(paper_instance, q_max=(0, 0, 0), q_min=(0, 0, 0))
@@ -303,7 +303,7 @@ class TestEnumerateOptimal:
             q_max=(2, 2),
         )
         res = of.enumerate_optimal(inst)
-        assert res.best_schedule.period_of == (1, 1)
+        assert res.best_periods == (1, 1)
         assert res.feasible_count == 4
 
 
@@ -448,9 +448,9 @@ class TestOracleProperties:
         res = of.enumerate_optimal(tables)
         assert res.feasible_count == count
         if best is None:
-            assert res.best_schedule is None
+            assert res.best_periods is None
         else:
-            assert best == (res.best_breakdown.total_value, res.best_schedule.period_of)
+            assert best == (res.best_breakdown.total_value, res.best_periods)
 
     def test_optimum_dominates_sampled_schedules(self, paper_instance):
         res = of.enumerate_optimal(paper_instance)
@@ -479,9 +479,9 @@ class TestOracleProperties:
         assert res.best_breakdown.total_value == base.best_breakdown.total_value
         # the optimal schedule maps through the permutation
         mapped = tuple(
-            base.best_schedule.period_of[inv[new_id] - 1] for new_id in range(1, 8)
+            base.best_periods[inv[new_id] - 1] for new_id in range(1, 8)
         )
-        assert res.best_schedule.period_of == mapped
+        assert res.best_periods == mapped
 
     def test_widening_constraints_never_hurts(self, paper_instance):
         base = of.enumerate_optimal(paper_instance).best_breakdown.total_value
@@ -499,5 +499,5 @@ class TestOracleProperties:
         # the objective alone sequences this instance correctly
         soft = replace(paper_instance, total_dependency_mode="soft")
         res = of.enumerate_optimal(soft)
-        assert res.best_schedule.period_of == (1, 2, 1, 2, 2, 3, 3)
+        assert res.best_periods == (1, 2, 1, 2, 2, 3, 3)
         assert res.best_breakdown.total_value == 203

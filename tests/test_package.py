@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -55,6 +56,19 @@ def test_bit_matrix_codec_is_gone(name):
     assert name not in of.__all__
     for module in (of, optfolio.model, optfolio.ga):
         assert not hasattr(module, name)
+
+
+def test_solvers_return_period_tuples_not_schedules():
+    # `Schedule` is left only at `evaluate` and `parse_schedule_arg`
+    import optfolio.ga
+    import optfolio.oracle
+
+    for module in (optfolio.ga, optfolio.oracle):
+        assert not hasattr(module, "Schedule")
+    for result in (of.SolveResult, of.OracleResult):
+        names = {f.name for f in dataclasses.fields(result)}
+        assert "best_periods" in names and "best_schedule" not in names
+        assert not hasattr(result, "best_schedule")
 
 
 # functions whose builtin `sum` calls are allowed, each with its reason;
